@@ -1,135 +1,26 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the *real* execution engine (not the
- * machine model): wall-clock throughput of the CSR/CSF fast kernels and
- * the format-generic hierarchical kernels across formats. These numbers
- * are host-machine-dependent; they validate that the executor is a real,
- * runnable substrate rather than a paper construct.
- *
- * The `legacy` namespace below preserves the pre-LoopNest hand-written
- * kernels (callback-based traversal, spawn-and-join-per-call threading)
- * ONLY inside this benchmark target, so `_Old` / `_New` rows print the
- * old and new executors side by side: the generic LoopNest interpreter
- * must stay within a few percent of the hand-written traversals, and the
- * persistent-pool scheduled path must beat per-call thread spawning on
- * tuner-style repeated small invocations.
+ * machine model): wall-clock throughput of lowered loop nests run through
+ * KernelBackend::execute across formats, the fused SDDMM→SpMM workspace
+ * nest against the unfused two-kernel pipeline, and format construction.
+ * These numbers are host-machine-dependent; they validate that the
+ * executor is a real, runnable substrate rather than a paper construct.
  */
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <thread>
 
 #include "codegen/kernel_backend.hpp"
 #include "common.hpp"
 #include "data/generators.hpp"
-#include "exec/kernels.hpp"
-#include "exec/scheduled.hpp"
 #include "util/metrics.hpp"
 #include "util/timer.hpp"
 
 using namespace waco;
-
-// Pre-refactor kernels, kept compiled here (and only here) as the baseline
-// the generic executor is measured against. Deleted from the library.
-namespace legacy {
-
-DenseVector
-spmvHier(const HierSparseTensor& a, const DenseVector& b)
-{
-    DenseVector c(a.descriptor().dims()[0], 0.0f);
-    a.forEachStored([&](const std::array<u32, 3>& x, float v, bool ok) {
-        if (ok)
-            c[x[0]] += v * b[x[1]];
-    });
-    return c;
-}
-
-DenseMatrix
-spmmHier(const HierSparseTensor& a, const DenseMatrix& b)
-{
-    DenseMatrix c(a.descriptor().dims()[0], b.cols(), Layout::RowMajor, 0.0f);
-    const u64 jd = b.cols();
-    a.forEachStored([&](const std::array<u32, 3>& x, float v, bool ok) {
-        if (!ok)
-            return;
-        for (u64 j = 0; j < jd; ++j)
-            c.at(x[0], j) += v * b.at(x[1], j);
-    });
-    return c;
-}
-
-/** The old spawn-and-join-per-call dynamic chunking (including its
- *  oversubscription: par.threads workers regardless of chunk count). */
-template <typename Fn>
-void
-dynamicTopLevel(const HierSparseTensor& a, const ParallelConfig& par, Fn&& fn)
-{
-    u64 total = a.topLevelSize();
-    u32 threads = std::max<u32>(1, par.threads);
-    u64 chunk = std::max<u32>(1, par.chunk);
-    if (threads == 1) {
-        fn(0, total);
-        return;
-    }
-    std::atomic<u64> next{0};
-    auto worker = [&]() {
-        for (;;) {
-            u64 begin = next.fetch_add(chunk);
-            if (begin >= total)
-                return;
-            fn(begin, std::min(total, begin + chunk));
-        }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (u32 t = 0; t < threads; ++t)
-        pool.emplace_back(worker);
-    for (auto& t : pool)
-        t.join();
-}
-
-DenseVector
-spmvScheduled(const HierSparseTensor& a, const DenseVector& b,
-              const ParallelConfig& par)
-{
-    if (!parallelizableTopLevel(Algorithm::SpMV, a))
-        return legacy::spmvHier(a, b);
-    DenseVector c(a.descriptor().dims()[0], 0.0f);
-    dynamicTopLevel(a, par, [&](u64 begin, u64 end) {
-        a.forEachStoredInTopRange(
-            begin, end, [&](const std::array<u32, 3>& x, float v, bool ok) {
-                if (ok)
-                    c[x[0]] += v * b[x[1]];
-            });
-    });
-    return c;
-}
-
-DenseMatrix
-spmmScheduled(const HierSparseTensor& a, const DenseMatrix& b,
-              const ParallelConfig& par)
-{
-    if (!parallelizableTopLevel(Algorithm::SpMM, a))
-        return legacy::spmmHier(a, b);
-    DenseMatrix c(a.descriptor().dims()[0], b.cols(), Layout::RowMajor, 0.0f);
-    const u64 jd = b.cols();
-    dynamicTopLevel(a, par, [&](u64 begin, u64 end) {
-        a.forEachStoredInTopRange(
-            begin, end, [&](const std::array<u32, 3>& x, float v, bool ok) {
-                if (!ok)
-                    return;
-                for (u64 j = 0; j < jd; ++j)
-                    c.at(x[0], j) += v * b.at(x[1], j);
-            });
-    });
-    return c;
-}
-
-} // namespace legacy
 
 namespace {
 
@@ -140,47 +31,7 @@ benchMatrix()
     return genBanded(4096, 4096, 16, 0.5, rng);
 }
 
-FormatDescriptor
-benchFormat(const SparseMatrix& m, i64 which)
-{
-    switch (which) {
-      case 0: return FormatDescriptor::csr(m.rows(), m.cols());
-      case 1: return FormatDescriptor::csc(m.rows(), m.cols());
-      case 2: return FormatDescriptor::bcsr(m.rows(), m.cols(), 4, 4);
-      default: return FormatDescriptor::ucu(m.rows(), m.cols(), 16);
-    }
-}
-
-void
-BM_SpmvCsr(benchmark::State& state)
-{
-    auto m = benchMatrix();
-    Csr csr(m);
-    DenseVector b(m.cols());
-    Rng rng(1);
-    b.randomize(rng);
-    for (auto _ : state) {
-        auto c = spmvCsr(csr, b);
-        benchmark::DoNotOptimize(c.data().data());
-    }
-    state.SetItemsProcessed(state.iterations() * m.nnz());
-}
-
-void
-BM_SpmmCsr(benchmark::State& state)
-{
-    auto m = benchMatrix();
-    Csr csr(m);
-    DenseMatrix b(m.cols(), static_cast<u64>(state.range(0)));
-    Rng rng(2);
-    b.randomize(rng);
-    for (auto _ : state) {
-        auto c = spmmCsr(csr, b);
-        benchmark::DoNotOptimize(c.data().data());
-    }
-    state.SetItemsProcessed(state.iterations() * m.nnz() * state.range(0));
-}
-
+/** Serial SpMV over one format, run in the tensor's own storage order. */
 void
 BM_SpmvHierFormat(benchmark::State& state)
 {
@@ -197,159 +48,34 @@ BM_SpmvHierFormat(benchmark::State& state)
     DenseVector b(m.cols());
     Rng rng(3);
     b.randomize(rng);
+    LoopNest nest = lowerStorageOrder(Algorithm::SpMV, desc);
+    LoopNestArgs args{.a = &t, .vecB = &b};
     for (auto _ : state) {
-        auto c = spmvHier(t, b);
-        benchmark::DoNotOptimize(c.data().data());
+        auto r = interpreterBackend().execute(nest, args);
+        benchmark::DoNotOptimize(r.vec.data().data());
     }
     state.SetLabel(desc.name());
     state.SetItemsProcessed(state.iterations() * t.storedValues());
 }
 
-/** Old hand-written callback traversal, per format (baseline). */
-void
-BM_SpmvHier_Old(benchmark::State& state)
+/** Dense operands of the fused-vs-unfused pair (K = M = 16). */
+struct FusedOperands
 {
-    auto m = benchMatrix();
-    auto desc = benchFormat(m, state.range(0));
-    auto t = HierSparseTensor::build(desc, m);
-    DenseVector b(m.cols());
-    Rng rng(3);
-    b.randomize(rng);
-    for (auto _ : state) {
-        auto c = legacy::spmvHier(t, b);
-        benchmark::DoNotOptimize(c.data().data());
-    }
-    state.SetLabel(desc.name());
-    state.SetItemsProcessed(state.iterations() * t.storedValues());
-}
-
-/** New generic LoopNest interpreter, same formats (must stay within ~5%). */
-void
-BM_SpmvHier_New(benchmark::State& state)
-{
-    auto m = benchMatrix();
-    auto desc = benchFormat(m, state.range(0));
-    auto t = HierSparseTensor::build(desc, m);
-    DenseVector b(m.cols());
-    Rng rng(3);
-    b.randomize(rng);
-    for (auto _ : state) {
-        auto c = spmvHier(t, b);
-        benchmark::DoNotOptimize(c.data().data());
-    }
-    state.SetLabel(desc.name());
-    state.SetItemsProcessed(state.iterations() * t.storedValues());
-}
-
-void
-BM_SpmmHier_Old(benchmark::State& state)
-{
-    auto m = benchMatrix();
-    auto desc = benchFormat(m, state.range(0));
-    auto t = HierSparseTensor::build(desc, m);
-    DenseMatrix b(m.cols(), 64);
-    Rng rng(5);
-    b.randomize(rng);
-    for (auto _ : state) {
-        auto c = legacy::spmmHier(t, b);
-        benchmark::DoNotOptimize(c.data().data());
-    }
-    state.SetLabel(desc.name());
-    state.SetItemsProcessed(state.iterations() * t.storedValues() * 64);
-}
-
-void
-BM_SpmmHier_New(benchmark::State& state)
-{
-    auto m = benchMatrix();
-    auto desc = benchFormat(m, state.range(0));
-    auto t = HierSparseTensor::build(desc, m);
-    DenseMatrix b(m.cols(), 64);
-    Rng rng(5);
-    b.randomize(rng);
-    for (auto _ : state) {
-        auto c = spmmHier(t, b);
-        benchmark::DoNotOptimize(c.data().data());
-    }
-    state.SetLabel(desc.name());
-    state.SetItemsProcessed(state.iterations() * t.storedValues() * 64);
-}
-
-/** Parallel scheduled SpMV: spawn-and-join per call (old runtime). */
-void
-BM_SpmvScheduled_Old(benchmark::State& state)
-{
-    auto m = benchMatrix();
-    auto t = HierSparseTensor::build(
+    SparseMatrix m = benchMatrix();
+    HierSparseTensor t = HierSparseTensor::build(
         FormatDescriptor::csr(m.rows(), m.cols()), m);
-    DenseVector b(m.cols());
-    Rng rng(7);
-    b.randomize(rng);
-    ParallelConfig par{static_cast<u32>(state.range(0)), 64};
-    for (auto _ : state) {
-        auto c = legacy::spmvScheduled(t, b, par);
-        benchmark::DoNotOptimize(c.data().data());
-    }
-    state.SetItemsProcessed(state.iterations() * t.storedValues());
-}
+    DenseMatrix b{m.rows(), 16};
+    DenseMatrix c{16, m.cols(), Layout::ColMajor};
+    DenseMatrix f{m.cols(), 16};
 
-/** Parallel scheduled SpMV: persistent thread pool (new runtime). */
-void
-BM_SpmvScheduled_New(benchmark::State& state)
-{
-    auto m = benchMatrix();
-    auto t = HierSparseTensor::build(
-        FormatDescriptor::csr(m.rows(), m.cols()), m);
-    DenseVector b(m.cols());
-    Rng rng(7);
-    b.randomize(rng);
-    ParallelConfig par{static_cast<u32>(state.range(0)), 64};
-    for (auto _ : state) {
-        auto c = spmvScheduled(t, b, par);
-        benchmark::DoNotOptimize(c.data().data());
+    FusedOperands()
+    {
+        Rng rng(13);
+        b.randomize(rng);
+        c.randomize(rng);
+        f.randomize(rng);
     }
-    state.SetItemsProcessed(state.iterations() * t.storedValues());
-}
-
-/**
- * Tuner-style workload: thousands of parallel invocations on a *small*
- * kernel, where per-call thread spawn/join dominates. Each benchmark
- * iteration is one scheduled SpMM call on a 256x256 input with 4 threads —
- * the shape of the inner loop of corpus labeling and top-k remeasurement.
- */
-void
-BM_TunerRepeat_Old(benchmark::State& state)
-{
-    Rng rng(11);
-    auto m = genBanded(256, 256, 8, 0.5, rng);
-    auto t = HierSparseTensor::build(
-        FormatDescriptor::csr(m.rows(), m.cols()), m);
-    DenseMatrix b(m.cols(), 16);
-    b.randomize(rng);
-    ParallelConfig par{4, 16};
-    for (auto _ : state) {
-        auto c = legacy::spmmScheduled(t, b, par);
-        benchmark::DoNotOptimize(c.data().data());
-    }
-    state.SetItemsProcessed(state.iterations() * t.storedValues() * 16);
-}
-
-void
-BM_TunerRepeat_New(benchmark::State& state)
-{
-    Rng rng(11);
-    auto m = genBanded(256, 256, 8, 0.5, rng);
-    auto t = HierSparseTensor::build(
-        FormatDescriptor::csr(m.rows(), m.cols()), m);
-    DenseMatrix b(m.cols(), 16);
-    b.randomize(rng);
-    ParallelConfig par{4, 16};
-    for (auto _ : state) {
-        auto c = spmmScheduled(t, b, par);
-        benchmark::DoNotOptimize(c.data().data());
-    }
-    state.SetItemsProcessed(state.iterations() * t.storedValues() * 16);
-}
+};
 
 /**
  * Unfused SDDMM→SpMM: run SDDMM, materialize the intermediate sparse
@@ -357,48 +83,39 @@ BM_TunerRepeat_New(benchmark::State& state)
  * pipeline a user without the fused lowering would write.
  */
 void
-BM_FusedSddmmSpmm_Old(benchmark::State& state)
+BM_FusedSddmmSpmm_Unfused(benchmark::State& state)
 {
-    auto m = benchMatrix();
-    auto t = HierSparseTensor::build(
-        FormatDescriptor::csr(m.rows(), m.cols()), m);
-    Rng rng(13);
-    DenseMatrix b(m.rows(), 16);
-    DenseMatrix c(16, m.cols(), Layout::ColMajor);
-    DenseMatrix f(m.cols(), 16);
-    b.randomize(rng);
-    c.randomize(rng);
-    f.randomize(rng);
+    FusedOperands op;
+    const FormatDescriptor& desc = op.t.descriptor();
+    LoopNest sddmm = lowerStorageOrder(Algorithm::SDDMM, desc, 16);
+    LoopNest spmm = lowerStorageOrder(Algorithm::SpMM, desc, 16);
+    LoopNestArgs sargs{.a = &op.t, .matB = &op.b, .matC = &op.c};
     for (auto _ : state) {
-        SparseMatrix d = sddmmHier(t, b, c);
-        auto dt = HierSparseTensor::build(
-            FormatDescriptor::csr(d.rows(), d.cols()), d);
-        auto e = spmmHier(dt, f);
+        SparseMatrix d = interpreterBackend().execute(sddmm, sargs).sparse;
+        auto dt = HierSparseTensor::build(desc, d);
+        LoopNestArgs margs{.a = &dt, .matB = &op.f};
+        auto e = interpreterBackend().execute(spmm, margs).mat;
         benchmark::DoNotOptimize(e.data().data());
     }
-    state.SetItemsProcessed(state.iterations() * t.storedValues() * (16 + 16));
+    state.SetItemsProcessed(state.iterations() * op.t.storedValues() *
+                            (16 + 16));
 }
 
-/** Fused workspace kernel: same computation, one pass over A, no
+/** Fused workspace nest: same computation, one pass over A, no
  *  materialized intermediate. */
 void
-BM_FusedSddmmSpmm_New(benchmark::State& state)
+BM_FusedSddmmSpmm_Fused(benchmark::State& state)
 {
-    auto m = benchMatrix();
-    auto t = HierSparseTensor::build(
-        FormatDescriptor::csr(m.rows(), m.cols()), m);
-    Rng rng(13);
-    DenseMatrix b(m.rows(), 16);
-    DenseMatrix c(16, m.cols(), Layout::ColMajor);
-    DenseMatrix f(m.cols(), 16);
-    b.randomize(rng);
-    c.randomize(rng);
-    f.randomize(rng);
+    FusedOperands op;
+    LoopNest fused =
+        lowerStorageOrder(Algorithm::FusedSDDMMSpMM, op.t.descriptor(), 16);
+    LoopNestArgs args{.a = &op.t, .matB = &op.b, .matC = &op.c, .matF = &op.f};
     for (auto _ : state) {
-        auto e = fusedSddmmSpmmHier(t, b, c, f);
+        auto e = interpreterBackend().execute(fused, args).mat;
         benchmark::DoNotOptimize(e.data().data());
     }
-    state.SetItemsProcessed(state.iterations() * t.storedValues() * (16 + 16));
+    state.SetItemsProcessed(state.iterations() * op.t.storedValues() *
+                            (16 + 16));
 }
 
 void
@@ -411,21 +128,6 @@ BM_FormatBuild(benchmark::State& state)
         benchmark::DoNotOptimize(t.bytes());
     }
     state.SetItemsProcessed(state.iterations() * m.nnz());
-}
-
-void
-BM_MttkrpCsf(benchmark::State& state)
-{
-    Rng rng(4);
-    auto t = genTensor3(2048, 1024, 512, 100000, rng);
-    DenseMatrix b(1024, 16), c(512, 16);
-    b.randomize(rng);
-    c.randomize(rng);
-    for (auto _ : state) {
-        auto d = mttkrpCsf(t, b, c);
-        benchmark::DoNotOptimize(d.data().data());
-    }
-    state.SetItemsProcessed(state.iterations() * t.nnz());
 }
 
 // ---------------------------------------------------------------------------
@@ -726,21 +428,10 @@ runCompare(bool smoke)
     return rc_code;
 }
 
-BENCHMARK(BM_SpmvCsr);
-BENCHMARK(BM_SpmmCsr)->Arg(16)->Arg(64);
 BENCHMARK(BM_SpmvHierFormat)->DenseRange(0, 3);
-BENCHMARK(BM_SpmvHier_Old)->DenseRange(0, 3);
-BENCHMARK(BM_SpmvHier_New)->DenseRange(0, 3);
-BENCHMARK(BM_SpmmHier_Old)->Arg(0)->Arg(3);
-BENCHMARK(BM_SpmmHier_New)->Arg(0)->Arg(3);
-BENCHMARK(BM_SpmvScheduled_Old)->Arg(4);
-BENCHMARK(BM_SpmvScheduled_New)->Arg(4);
-BENCHMARK(BM_TunerRepeat_Old);
-BENCHMARK(BM_TunerRepeat_New);
-BENCHMARK(BM_FusedSddmmSpmm_Old);
-BENCHMARK(BM_FusedSddmmSpmm_New);
+BENCHMARK(BM_FusedSddmmSpmm_Unfused);
+BENCHMARK(BM_FusedSddmmSpmm_Fused);
 BENCHMARK(BM_FormatBuild);
-BENCHMARK(BM_MttkrpCsf);
 BENCHMARK(BM_NestExec_Interp)->DenseRange(0, 4);
 BENCHMARK(BM_NestExec_Compiled)->DenseRange(0, 4);
 

@@ -2,10 +2,9 @@
  * @file
  * Cost-model inference-engine throughput: schedules/sec through the feature
  * extractor, the program embedder, the predictor head, and the end-to-end
- * generic graph walk, each measured on the pre-optimization path (naive
- * GEMM, rulebook rebuilt every forward, scalar batch-1 scoring) and on the
- * batched engine (blocked GEMM, cached rulebooks, hoisted query feature,
- * frontier-batched scoring). Emits BENCH_model.json with old/new rows.
+ * generic graph walk (blocked GEMM, cached rulebooks, hoisted query
+ * feature, frontier-batched scoring). Emits BENCH_model.json with one row
+ * per stage.
  *
  * `--smoke` shrinks every size for the tier-1 ctest run and hard-fails
  * (exit 1) when the batched walk's hits differ from the scalar walk's.
@@ -29,10 +28,7 @@ struct ThroughputRow
 {
     std::string name;
     std::string unit;
-    double oldPerSec = 0.0;
-    double newPerSec = 0.0;
-
-    double speedup() const { return oldPerSec > 0 ? newPerSec / oldPerSec : 0; }
+    double perSec = 0.0;
 };
 
 /** Run @p body until @p min_seconds elapse; returns units/sec. */
@@ -40,8 +36,8 @@ template <typename Body>
 double
 unitsPerSec(double min_seconds, Body&& body)
 {
-    // One warm-up call (pulls code+data into cache, primes rulebooks when
-    // the cache is enabled — exactly the steady state being measured).
+    // One warm-up call (pulls code+data into cache and primes the rulebook
+    // cache — exactly the steady state being measured).
     double units = body();
     Timer t;
     double total = 0.0;
@@ -53,20 +49,6 @@ unitsPerSec(double min_seconds, Body&& body)
     (void)units;
     (void)reps;
     return total / t.seconds();
-}
-
-void
-useNewEngine()
-{
-    nn::setGemmKind(nn::GemmKind::Blocked);
-    nn::setRulebookCacheEnabled(true);
-}
-
-void
-useOldEngine()
-{
-    nn::setGemmKind(nn::GemmKind::Naive);
-    nn::setRulebookCacheEnabled(false);
 }
 
 bool
@@ -92,7 +74,7 @@ main(int argc, char** argv)
     Timer total;
     printHeader("Inference engine",
                 smoke ? "Model throughput (smoke sizes)"
-                      : "Model throughput: old path vs batched engine");
+                      : "Model throughput: batched engine");
 
     // Random-init model: throughput does not depend on trained weights.
     ExtractorConfig cfg;
@@ -126,23 +108,20 @@ main(int argc, char** argv)
 
     // ---- Feature extractor: patterns/sec over alternating inputs. -------
     {
-        ThroughputRow r{"extractor", "patterns", 0, 0};
+        ThroughputRow r{"extractor", "patterns", 0};
         u32 which = 0;
         auto once = [&]() {
             nn::Mat f = model.extractFeature(patterns[which]);
             which ^= 1u;
             return 1.0 + 0.0 * f.at(0, 0);
         };
-        useOldEngine();
-        r.oldPerSec = unitsPerSec(kMinSec, once);
-        useNewEngine();
-        r.newPerSec = unitsPerSec(kMinSec, once);
+        r.perSec = unitsPerSec(kMinSec, once);
         rows.push_back(r);
     }
 
     // ---- Program embedder: schedules/sec in 256-row batches. ------------
     {
-        ThroughputRow r{"embedder", "schedules", 0, 0};
+        ThroughputRow r{"embedder", "schedules", 0};
         auto once = [&]() {
             double done = 0;
             constexpr u32 kChunk = 256;
@@ -156,16 +135,12 @@ main(int argc, char** argv)
             }
             return done;
         };
-        useOldEngine();
-        r.oldPerSec = unitsPerSec(kMinSec, once);
-        useNewEngine();
-        r.newPerSec = unitsPerSec(kMinSec, once);
+        r.perSec = unitsPerSec(kMinSec, once);
         rows.push_back(r);
     }
 
     // Precompute the corpus embeddings once (the engine's steady state) —
     // the predictor and search rows below score against these.
-    useNewEngine();
     nn::Mat embeddings(kNodes, model.embeddingDim());
     {
         constexpr u32 kChunk = 256;
@@ -183,30 +158,14 @@ main(int argc, char** argv)
 
     // ---- Predictor head: schedules/sec scoring the whole corpus. --------
     {
-        ThroughputRow r{"predictor", "schedules", 0, 0};
-        // Old path: per-candidate batch-1 forward with the broadcast
-        // feature copy — how the graph walk used to invoke the head.
-        auto once_old = [&]() {
-            double acc = 0;
-            nn::Mat one(1, embeddings.cols);
-            for (u32 n = 0; n < embeddings.rows; ++n) {
-                std::copy(embeddings.row(n), embeddings.row(n) + embeddings.cols,
-                          one.row(0));
-                nn::Mat p = model.predictFromEmbeddings(feature, one);
-                acc += p.at(0, 0);
-            }
-            return static_cast<double>(embeddings.rows) + 0.0 * acc;
-        };
-        auto once_new = [&]() {
+        ThroughputRow r{"predictor", "schedules", 0};
+        auto once = [&]() {
             auto q = model.beginQuery(feature);
             nn::Mat p =
                 model.scoreEmbeddings(q, embeddings, nullptr, embeddings.rows);
             return static_cast<double>(p.rows) + 0.0 * p.at(0, 0);
         };
-        useOldEngine();
-        r.oldPerSec = unitsPerSec(kMinSec, once_old);
-        useNewEngine();
-        r.newPerSec = unitsPerSec(kMinSec, once_new);
+        r.perSec = unitsPerSec(kMinSec, once);
         rows.push_back(r);
     }
 
@@ -216,23 +175,9 @@ main(int argc, char** argv)
         graph.add(embeddings.row(n));
     const u32 kEf = 64, kTopK = 10;
     {
-        ThroughputRow r{"search", "scored schedules", 0, 0};
-        // Old: scalar walk, each score a batch-1 row copy + full forward.
-        auto once_old = [&]() {
-            u64 evals = 0;
-            nn::Mat one(1, embeddings.cols);
-            auto hits = graph.searchGeneric(
-                [&](u32 id) {
-                    std::copy(embeddings.row(id),
-                              embeddings.row(id) + embeddings.cols, one.row(0));
-                    nn::Mat p = model.predictFromEmbeddings(feature, one);
-                    return static_cast<double>(p.at(0, 0));
-                },
-                kTopK, kEf, &evals);
-            return static_cast<double>(evals) + 0.0 * hits.size();
-        };
-        // New: hoisted query + frontier-batched scoring (what tune() runs).
-        auto once_new = [&]() {
+        ThroughputRow r{"search", "scored schedules", 0};
+        // Hoisted query + frontier-batched scoring (what tune() runs).
+        auto once = [&]() {
             u64 evals = 0;
             auto q = model.beginQuery(feature);
             auto hits = graph.searchGenericBatched(
@@ -244,15 +189,11 @@ main(int argc, char** argv)
                 kTopK, kEf, &evals);
             return static_cast<double>(evals) + 0.0 * hits.size();
         };
-        useOldEngine();
-        r.oldPerSec = unitsPerSec(kMinSec, once_old);
-        useNewEngine();
-        r.newPerSec = unitsPerSec(kMinSec, once_new);
+        r.perSec = unitsPerSec(kMinSec, once);
         rows.push_back(r);
     }
 
     // ---- Batched-vs-scalar identity check (hard failure in smoke). ------
-    useNewEngine();
     bool identical = true;
     {
         auto q = model.beginQuery(feature);
@@ -272,11 +213,9 @@ main(int argc, char** argv)
         identical = sameHits(scalar, batched);
     }
 
-    printRow({"Stage", "Old/s", "New/s", "Speedup"}, {14, 14, 14, 10});
+    printRow({"Stage", "Unit", "Per sec"}, {14, 18, 14});
     for (const auto& r : rows)
-        printRow({r.name, numCell(r.oldPerSec, 1), numCell(r.newPerSec, 1),
-                  speedupCell(r.speedup())},
-                 {14, 14, 14, 10});
+        printRow({r.name, r.unit, numCell(r.perSec, 1)}, {14, 18, 14});
     std::printf("batched search hits %s scalar hits\n",
                 identical ? "identical to" : "DIFFER FROM");
 
@@ -293,11 +232,9 @@ main(int argc, char** argv)
             const auto& r = rows[i];
             std::fprintf(f,
                          "    {\"name\": \"%s\", \"unit\": \"%s\", "
-                         "\"old_per_sec\": %.3f, \"new_per_sec\": %.3f, "
-                         "\"speedup\": %.3f}%s\n",
-                         r.name.c_str(), r.unit.c_str(), r.oldPerSec,
-                         r.newPerSec, r.speedup(), i + 1 < rows.size() ? ","
-                                                                       : "");
+                         "\"per_sec\": %.3f}%s\n",
+                         r.name.c_str(), r.unit.c_str(), r.perSec,
+                         i + 1 < rows.size() ? "," : "");
         }
         std::fprintf(f, "  ]\n}\n");
         std::fclose(f);

@@ -9,9 +9,9 @@
 #include <cmath>
 #include <cstdio>
 
+#include "codegen/kernel_backend.hpp"
 #include "core/waco_tuner.hpp"
 #include "data/generators.hpp"
-#include "exec/kernels.hpp"
 #include "exec/reference.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
@@ -33,11 +33,18 @@ main()
     b.randomize(rng);
     c.randomize(rng);
 
+    // MTTKRP over the CSF-stored tensor: D[i,j] = A[i,k,l] B[k,j] C[l,j].
+    auto csf = HierSparseTensor::build(FormatDescriptor::csf3d(di, dk, dl),
+                                       tensor);
+    LoopNest nest =
+        lowerStorageOrder(Algorithm::MTTKRP, csf.descriptor(), rank);
+    LoopNestArgs args{.a = &csf, .matB = &b, .matC = &c};
+
     // A few ALS-flavored sweeps: factor A absorbs the MTTKRP of the other
     // two factors (simplified: plain replacement + normalization).
     Timer timer;
     for (int sweep = 0; sweep < 3; ++sweep) {
-        auto m = mttkrpCsf(tensor, b, c); // D[i,j] = A[i,k,l] B[k,j] C[l,j]
+        auto m = interpreterBackend().execute(nest, args).mat;
         for (u64 i = 0; i < a.rows(); ++i) {
             float norm = 0.0f;
             for (u32 j = 0; j < rank; ++j)
@@ -49,9 +56,9 @@ main()
     }
     std::printf("3 ALS sweeps (real MTTKRP, |j|=%u): %.1f ms\n", rank,
                 timer.millis());
-    // Sanity: real CSF kernel agrees with the reference.
+    // Sanity: the CSF nest agrees with the reference.
     auto want = mttkrpReference(tensor, b, c);
-    auto got = mttkrpCsf(tensor, b, c);
+    auto got = interpreterBackend().execute(nest, args).mat;
     std::printf("kernel check: max|err| = %.2e\n", maxAbsDiff(want, got));
 
     std::printf("\ntraining a small MTTKRP co-optimizer...\n");

@@ -9,9 +9,9 @@
  */
 #include <cstdio>
 
+#include "codegen/kernel_backend.hpp"
 #include "core/waco_tuner.hpp"
 #include "data/generators.hpp"
-#include "exec/kernels.hpp"
 #include "exec/reference.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
@@ -44,8 +44,12 @@ main()
     DenseMatrix kT(head, seq, Layout::ColMajor);
     q.randomize(rng);
     kT.randomize(rng);
+    auto csr = HierSparseTensor::build(FormatDescriptor::csr(seq, seq), mask);
+    LoopNestArgs args{.a = &csr, .matB = &q, .matC = &kT};
+    LoopNest nest =
+        lowerStorageOrder(Algorithm::SDDMM, csr.descriptor(), head);
     Timer timer;
-    auto scores = sddmmCsr(mask, q, kT);
+    auto scores = interpreterBackend().execute(nest, args).sparse;
     std::printf("real SDDMM: %.1f ms for %llu scores\n", timer.millis(),
                 static_cast<unsigned long long>(scores.nnz()));
     auto ref = sddmmReference(mask, q, kT);

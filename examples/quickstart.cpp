@@ -14,9 +14,9 @@
 #include <cstdio>
 
 #include "codegen/emit.hpp"
+#include "codegen/kernel_backend.hpp"
 #include "core/waco_tuner.hpp"
 #include "data/generators.hpp"
-#include "exec/kernels.hpp"
 #include "exec/reference.hpp"
 #include "tensor/mmio.hpp"
 #include "util/logging.hpp"
@@ -48,9 +48,12 @@ main(int argc, char** argv)
           FormatDescriptor::csc(m.rows(), m.cols()),
           FormatDescriptor::bcsr(m.rows(), m.cols(), 8, 8),
           FormatDescriptor::ucu(m.rows(), m.cols(), 16)}) {
+        // Every format runs as a loop nest lowered from its storage order.
         auto t = HierSparseTensor::build(desc, m);
+        LoopNest nest = lowerStorageOrder(Algorithm::SpMV, desc);
+        LoopNestArgs args{.a = &t, .vecB = &x};
         Timer timer;
-        auto y = spmvHier(t, x);
+        auto y = interpreterBackend().execute(nest, args).vec;
         double ms = timer.millis();
         std::printf("  %-22s %8.2f ms   stored %8llu vals (%.2fx padding)"
                     "   max|err| %.2e\n",
@@ -99,9 +102,10 @@ main(int argc, char** argv)
                 outcome.tuningSeconds(), outcome.featureSeconds,
                 outcome.searchSeconds, outcome.remeasureSeconds);
 
-    // Execute the chosen format for real and validate.
+    // Execute the chosen format and schedule for real and validate.
     auto chosen = HierSparseTensor::build(formatOf(outcome.best, shape), m);
-    auto y = spmvHier(chosen, x);
+    LoopNestArgs args{.a = &chosen, .vecB = &x};
+    auto y = interpreterBackend().execute(lower(outcome.best, shape), args).vec;
     std::printf("result check vs reference: max|err| = %.2e\n",
                 maxAbsDiff(reference, y));
 

@@ -252,17 +252,14 @@ run(int argc, char** argv)
     if (!metrics_path.empty())
         metrics::setEnabled(true);
 
-    if (backend_set) {
-        setActiveKernelBackend(backend_kind);
-        if (backend_kind == KernelBackendKind::Compiled) {
-            if (compiledBackend().compilerAvailable())
-                std::printf("kernel backend: compiled (%s)\n",
-                            compiledBackend().compilerPath().c_str());
-            else
-                std::printf("kernel backend: compiled requested, but no "
-                            "working C compiler was found; executions fall "
-                            "back to the interpreter\n");
-        }
+    if (backend_set && backend_kind == KernelBackendKind::Compiled) {
+        if (compiledBackend().compilerAvailable())
+            std::printf("kernel backend: compiled (%s)\n",
+                        compiledBackend().compilerPath().c_str());
+        else
+            std::printf("kernel backend: compiled requested, but no "
+                        "working C compiler was found; executions fall "
+                        "back to the interpreter\n");
     }
 
     Rng rng(77);

@@ -213,8 +213,12 @@ CompiledBackend::kernelFor(const LoopNest& nest,
     eo.cacheKey = key;
     const std::string source = emitKernelC(nest, eo);
 
+    // Artifact names are unique per process, not per backend: every
+    // backend shares the per-process temp dir, and dlopen of a path that
+    // another live backend still has loaded returns that old library.
+    static std::atomic<u64> next_artifact{0};
     const std::string stem =
-        tempDir_ + "/k" + std::to_string(fileCounter_++);
+        tempDir_ + "/k" + std::to_string(next_artifact.fetch_add(1));
     const std::string src = stem + ".c";
     const std::string so = stem + ".so";
     const std::string log = stem + ".log";
@@ -480,30 +484,6 @@ compiledBackend()
 {
     static CompiledBackend backend;
     return backend;
-}
-
-namespace {
-std::atomic<KernelBackendKind> g_active{KernelBackendKind::Interpreter};
-} // namespace
-
-void
-setActiveKernelBackend(KernelBackendKind kind)
-{
-    g_active.store(kind, std::memory_order_relaxed);
-}
-
-KernelBackendKind
-activeKernelBackendKind()
-{
-    return g_active.load(std::memory_order_relaxed);
-}
-
-KernelBackend&
-activeKernelBackend()
-{
-    return activeKernelBackendKind() == KernelBackendKind::Compiled
-               ? static_cast<KernelBackend&>(compiledBackend())
-               : interpreterBackend();
 }
 
 } // namespace waco

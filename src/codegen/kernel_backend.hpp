@@ -136,7 +136,6 @@ class CompiledBackend final : public KernelBackend
     std::string optFlags_; ///< Probe-accepted optimization flag set.
     std::string tempDir_;
     u32 consecutiveFailures_ = 0;
-    u64 fileCounter_ = 0;
     std::string lastError_;
 
     mutable std::mutex statsMu_;
@@ -161,7 +160,7 @@ std::string kernelCacheKey(const LoopNest& nest,
  *  @p args, in KernelEmitOptions::inputRowMajor order. */
 std::vector<bool> inputLayoutsOf(const LoopNestArgs& args, Algorithm alg);
 
-/** Which backend the *Scheduled / *Hier entry points execute through. */
+/** Backend names a command line can select (tune_cli --backend). */
 enum class KernelBackendKind
 {
     Interpreter,
@@ -176,11 +175,5 @@ bool kernelBackendFromName(const std::string& name, KernelBackendKind& out);
 KernelBackend& interpreterBackend();
 /** The process-wide compiled backend (shared kernel cache). */
 CompiledBackend& compiledBackend();
-
-/** Select the backend behind activeKernelBackend(). Default is the
- *  interpreter: enabling compilation is an explicit opt-in. */
-void setActiveKernelBackend(KernelBackendKind kind);
-KernelBackendKind activeKernelBackendKind();
-KernelBackend& activeKernelBackend();
 
 } // namespace waco

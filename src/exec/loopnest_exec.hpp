@@ -2,10 +2,11 @@
  * @file
  * The single generic executor: interprets a lowered LoopNest against a
  * HierSparseTensor and dense operands. All five algorithms (SpMV, SpMM,
- * SDDMM, MTTKRP, FusedSDDMMSpMM) dispatch through executeLoopNest — there
- * are no per-kernel hand-written traversals anymore; the `*Hier` /
- * `*Scheduled` entry points in kernels.hpp / scheduled.hpp are thin
- * wrappers that lower the tensor's storage order and call this.
+ * SDDMM, MTTKRP, FusedSDDMMSpMM) run through executeLoopNest; there are no
+ * per-format or per-algorithm kernels. Callers run a nest through
+ * KernelBackend::execute (codegen/kernel_backend.hpp), which picks this
+ * interpreter or the JIT'd kernel. A pre-built tensor runs in its own
+ * storage order via the nest lowerStorageOrder(alg, t.descriptor()) gives.
  *
  * The interpreter walks the nest's typed nodes: Dense nodes iterate full
  * coordinate ranges, Sparse nodes traverse A's pos/crd (or padded U)
@@ -35,10 +36,24 @@
 #include <utility>
 #include <vector>
 
-#include "exec/kernels.hpp"
 #include "ir/loopnest.hpp"
+#include "tensor/coo.hpp"
+#include "tensor/csr.hpp"
+#include "tensor/dense.hpp"
+#include "tensor/format.hpp"
 
 namespace waco {
+
+/**
+ * OpenMP-style dynamic scheduling of the outermost loop: chunks of
+ * @p chunk iterations are handed to @p threads workers
+ * (#pragma omp parallel for schedule(dynamic, chunk)).
+ */
+struct ParallelConfig
+{
+    u32 threads = 1;
+    u32 chunk = 128;
+};
 
 /** Operands of one executeLoopNest call; only the algorithm's inputs are
  *  read (`a` always, `vecB` for SpMV, `matB`/`matC` per einsum). */
@@ -68,7 +83,7 @@ LoopNestResult executeLoopNest(const LoopNest& nest, const LoopNestArgs& args,
                                const ParallelConfig& par = {1, 128});
 
 /** Process-wide count of executeLoopNest invocations — lets tests assert
- *  that every kernel entry point dispatches through the generic executor. */
+ *  that executions dispatch through the generic executor. */
 u64 loopNestExecutionCount();
 
 // Pieces of the interpreter that any alternative execution engine (the

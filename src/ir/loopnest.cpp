@@ -301,6 +301,10 @@ lower(const SuperSchedule& s, const ProblemShape& shape)
     return nest;
 }
 
+namespace {
+
+/** ProblemShape matching @p desc's dimensions, with @p dense_extent (or the
+ *  algorithm default when 0) for dense-only indices. */
 ProblemShape
 shapeForFormat(Algorithm alg, const FormatDescriptor& desc, u32 dense_extent)
 {
@@ -315,6 +319,8 @@ shapeForFormat(Algorithm alg, const FormatDescriptor& desc, u32 dense_extent)
                                    dense_extent);
 }
 
+/** The concordant SuperSchedule that iterates @p desc in its storage
+ *  order; formatOf(result, shape) reproduces @p desc. */
 SuperSchedule
 storageOrderSchedule(Algorithm alg, const FormatDescriptor& desc)
 {
@@ -394,6 +400,8 @@ storageOrderSchedule(Algorithm alg, const FormatDescriptor& desc)
         s.denseRowMajor.push_back(op.rowMajorDefault);
     return s;
 }
+
+} // namespace
 
 void
 forEachLoop(const LoopNest& nest,

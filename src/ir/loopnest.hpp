@@ -237,19 +237,12 @@ void forEachLoop(const LoopNest& nest,
 LoopNest lower(const SuperSchedule& s, const ProblemShape& shape);
 
 /**
- * The concordant SuperSchedule that describes iterating a tensor exactly in
- * the storage order of @p desc, with the algorithm's dense-only loops
- * innermost — what the format-generic kernels execute for an arbitrary
- * pre-built HierSparseTensor. formatOf(result, shape) reproduces @p desc.
+ * The nest that iterates a tensor stored as @p desc exactly in its storage
+ * order (a concordant schedule whose format half reproduces @p desc), with
+ * the algorithm's dense-only loops innermost and extent @p dense_extent
+ * (the algorithm default when 0) — how to run an arbitrary pre-built
+ * HierSparseTensor.
  */
-SuperSchedule storageOrderSchedule(Algorithm alg, const FormatDescriptor& desc);
-
-/** ProblemShape matching @p desc's dimensions, with @p dense_extent (or the
- *  algorithm default when 0) for dense-only indices. */
-ProblemShape shapeForFormat(Algorithm alg, const FormatDescriptor& desc,
-                            u32 dense_extent = 0);
-
-/** Convenience: lower the storage-order schedule of @p desc. */
 LoopNest lowerStorageOrder(Algorithm alg, const FormatDescriptor& desc,
                            u32 dense_extent = 0);
 

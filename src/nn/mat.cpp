@@ -1,7 +1,5 @@
 #include "nn/mat.hpp"
 
-#include <atomic>
-
 #include "util/thread_pool.hpp"
 
 namespace waco::nn {
@@ -74,8 +72,6 @@ matmulNT(const Mat& a, const Mat& b, Mat& c)
 } // namespace naive
 
 namespace {
-
-std::atomic<GemmKind> g_gemm_kind{GemmKind::Blocked};
 
 /** Minimum multiply-adds before a kernel considers ThreadPool panels: tiny
  *  GEMMs (predictor heads, single schedules) must not pay hand-off cost. */
@@ -226,24 +222,8 @@ accImpl(const Mat& a, const Mat& b, Mat& c, bool allow_parallel)
 } // namespace
 
 void
-setGemmKind(GemmKind kind)
-{
-    g_gemm_kind.store(kind, std::memory_order_relaxed);
-}
-
-GemmKind
-gemmKind()
-{
-    return g_gemm_kind.load(std::memory_order_relaxed);
-}
-
-void
 matmul(const Mat& a, const Mat& b, Mat& c)
 {
-    if (gemmKind() == GemmKind::Naive) {
-        naive::matmul(a, b, c);
-        return;
-    }
     c = Mat(a.rows, b.cols);
     accImpl(a, b, c, /*allow_parallel=*/true);
 }
@@ -251,30 +231,18 @@ matmul(const Mat& a, const Mat& b, Mat& c)
 void
 matmulAcc(const Mat& a, const Mat& b, Mat& c)
 {
-    if (gemmKind() == GemmKind::Naive) {
-        naive::matmulAcc(a, b, c);
-        return;
-    }
     accImpl(a, b, c, /*allow_parallel=*/true);
 }
 
 void
 matmulAccSerial(const Mat& a, const Mat& b, Mat& c)
 {
-    if (gemmKind() == GemmKind::Naive) {
-        naive::matmulAcc(a, b, c);
-        return;
-    }
     accImpl(a, b, c, /*allow_parallel=*/false);
 }
 
 void
 matmulTN(const Mat& a, const Mat& b, Mat& c)
 {
-    if (gemmKind() == GemmKind::Naive) {
-        naive::matmulTN(a, b, c);
-        return;
-    }
     panicIf(a.rows != b.rows, "matmulTN shape mismatch");
     c = Mat(a.cols, b.cols);
     u64 flops = u64(a.rows) * a.cols * b.cols;
@@ -286,10 +254,6 @@ matmulTN(const Mat& a, const Mat& b, Mat& c)
 void
 matmulNT(const Mat& a, const Mat& b, Mat& c)
 {
-    if (gemmKind() == GemmKind::Naive) {
-        naive::matmulNT(a, b, c);
-        return;
-    }
     panicIf(a.cols != b.cols, "matmulNT shape mismatch");
     c = Mat(a.rows, b.rows);
     const Mat& packed = packTransposed(b);

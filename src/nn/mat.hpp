@@ -8,10 +8,9 @@
  * whose inner loops are written for autovectorization (contiguous j-loops
  * for the saxpy forms, explicit float lanes for the dot-product form).
  * Large row panels are farmed out to the process-wide ThreadPool. The
- * original scalar implementations are kept verbatim under nn::naive as
- * differential-test references, and setGemmKind(GemmKind::Naive) routes
- * every call through them so benches can measure old-vs-new on identical
- * call sites.
+ * original scalar implementations are kept under nn::naive as plain
+ * reference functions the GEMM differential test compares against (like
+ * exec/reference for the sparse kernels); nothing dispatches to them.
  *
  * Summation order differs between the blocked and naive kernels, so results
  * agree exactly only when products and partial sums are exactly
@@ -66,18 +65,7 @@ void matmulAcc(const Mat& a, const Mat& b, Mat& c);
  */
 void matmulAccSerial(const Mat& a, const Mat& b, Mat& c);
 
-/** Which kernel family the matmul entry points dispatch to. */
-enum class GemmKind
-{
-    Blocked, ///< Register-blocked + ThreadPool panels (default).
-    Naive,   ///< The original scalar loops (nn::naive), for benches.
-};
-
-/** Process-wide kernel selection (benches flip it for old-vs-new rows). */
-void setGemmKind(GemmKind kind);
-GemmKind gemmKind();
-
-/** The pre-optimization scalar kernels, kept as differential references. */
+/** Scalar reference kernels for the differential tests. */
 namespace naive {
 void matmul(const Mat& a, const Mat& b, Mat& c);
 void matmulTN(const Mat& a, const Mat& b, Mat& c);

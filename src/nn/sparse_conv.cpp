@@ -1,7 +1,5 @@
 #include "nn/sparse_conv.hpp"
 
-#include <atomic>
-
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -27,8 +25,6 @@ struct CoordHash
 
 using CoordMap = std::unordered_map<std::array<i32, 3>, u32, CoordHash>;
 
-std::atomic<bool> g_rulebook_cache_enabled{true};
-
 /** Work threshold before the execute step engages the ThreadPool. */
 constexpr u64 kParallelPairFlops = u64(1) << 20;
 
@@ -36,18 +32,6 @@ constexpr u64 kParallelPairFlops = u64(1) << 20;
 constexpr u64 kPairChunk = 4096;
 
 } // namespace
-
-void
-setRulebookCacheEnabled(bool enabled)
-{
-    g_rulebook_cache_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-rulebookCacheEnabled()
-{
-    return g_rulebook_cache_enabled.load(std::memory_order_relaxed);
-}
 
 SparseConv::SparseConv(u32 dim, u32 kernel, u32 stride, u32 in_ch, u32 out_ch,
                        Rng& rng)
@@ -154,27 +138,6 @@ SparseConv::forward(const SparseMap& in, const Rulebook& rb)
         float* orow = out.feats.row(q);
         for (u32 c = 0; c < outCh_; ++c)
             orow[c] = b_.w.at(0, c);
-    }
-
-    if (gemmKind() == GemmKind::Naive) {
-        // The pre-optimization execute: one saxpy per (pair, input channel)
-        // with a zero-skip branch, kept callable for old-vs-new benches.
-        for (std::size_t o = 0; o < offsets_.size(); ++o) {
-            const Mat& w = w_[o].w;
-            for (const auto& [pi, qi] : rb.pairs[o]) {
-                const float* irow = in_feats_.row(pi);
-                float* orow = out.feats.row(qi);
-                for (u32 ci = 0; ci < inCh_; ++ci) {
-                    float x = irow[ci];
-                    if (x == 0.0f)
-                        continue;
-                    const float* wrow = w.row(ci);
-                    for (u32 co = 0; co < outCh_; ++co)
-                        orow[co] += x * wrow[co];
-                }
-            }
-        }
-        return out;
     }
 
     // Gather -> GEMM -> scatter per offset. Chunks of the pair list are
@@ -291,23 +254,6 @@ const std::vector<Rulebook>&
 RulebookCache::chain(const std::vector<std::array<i32, 3>>& coords,
                      std::vector<SparseConv>& convs)
 {
-    auto build = [&](std::vector<Rulebook>& out) {
-        out.clear();
-        out.reserve(convs.size());
-        const std::vector<std::array<i32, 3>>* cur = &coords;
-        for (auto& conv : convs) {
-            out.push_back(conv.buildRulebook(*cur));
-            cur = &out.back().outCoords;
-        }
-    };
-
-    if (!rulebookCacheEnabled()) {
-        ++misses_;
-        WACO_COUNT("rulebook.misses", 1);
-        build(scratch_);
-        return scratch_;
-    }
-
     u64 key = fingerprint(coords);
     if (auto it = index_.find(key); it != index_.end()) {
         ++hits_;
@@ -320,7 +266,12 @@ RulebookCache::chain(const std::vector<std::array<i32, 3>>& coords,
     WACO_COUNT("rulebook.misses", 1);
     Entry e;
     e.key = key;
-    build(e.chain);
+    e.chain.reserve(convs.size());
+    const std::vector<std::array<i32, 3>>* cur = &coords;
+    for (auto& conv : convs) {
+        e.chain.push_back(conv.buildRulebook(*cur));
+        cur = &e.chain.back().outCoords;
+    }
     for (const auto& rb : e.chain)
         e.pairEntries += rb.pairCount();
     totalPairs_ += e.pairEntries;
@@ -341,7 +292,6 @@ RulebookCache::clear()
 {
     lru_.clear();
     index_.clear();
-    scratch_.clear();
     totalPairs_ = 0;
 }
 

@@ -130,9 +130,7 @@ class SparseConv
  * Cache of rulebook *chains*: the per-layer rulebooks a conv stack builds
  * for one input coordinate set. Keyed by a coordinate fingerprint, evicted
  * LRU under a total gather-pair budget so one huge pattern cannot pin
- * unbounded memory. Enabled process-wide by default; benches flip
- * setRulebookCacheEnabled(false) to measure the rebuild-every-forward
- * pre-optimization path.
+ * unbounded memory.
  */
 class RulebookCache
 {
@@ -177,17 +175,12 @@ class RulebookCache
 
     std::list<Entry> lru_; ///< Front = most recent.
     std::unordered_map<u64, std::list<Entry>::iterator> index_;
-    std::vector<Rulebook> scratch_; ///< Rebuilt-per-call path when disabled.
     u64 totalPairs_ = 0;
     u64 pairBudget_ = kMaxPairEntries;
     u64 hits_ = 0;
     u64 misses_ = 0;
     u64 evictions_ = 0;
 };
-
-/** Process-wide toggle for every RulebookCache (bench/test knob). */
-void setRulebookCacheEnabled(bool enabled);
-bool rulebookCacheEnabled();
 
 /** Mean over all sites -> a [1 x C] row (per-layer pooling in Figure 9). */
 class GlobalAvgPool

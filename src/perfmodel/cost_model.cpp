@@ -469,7 +469,11 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
         int rd = info.sparseDim[r_idx];
         panicIf(rd < 0, "sparse row index without sparse dim");
 
-        static thread_local LinearCounter counter;
+        // Bind the calling thread's counter by reference: pool workers in
+        // the parallel scan below must OR into this bitmap, not touch
+        // their own (never-constructed) thread_local instance.
+        static thread_local LinearCounter tls_counter;
+        LinearCounter& counter = tls_counter;
         auto count_distinct = [&](u32 prefix_len, bool with_row) {
             counter.reset();
             auto hash_of = [&](u64 n) {

@@ -188,42 +188,6 @@ class HierSparseTensor
         walk(0, 0, level_coords, fn);
     }
 
-    /** Number of coordinate slots at the first level (chunking domain for
-     *  the parallel executor): the extent for U, the crd length for C. */
-    u64
-    topLevelSize() const
-    {
-        const BuiltLevel& top = levels_.front();
-        return top.fmt == LevelFormat::Uncompressed ? top.extent
-                                                    : top.crd.size();
-    }
-
-    /**
-     * Visit stored positions under a contiguous range of first-level
-     * entries (U: coordinates [begin, end); C: crd positions [begin, end)).
-     * Disjoint ranges cover disjoint subtrees, which is what makes
-     * top-level parallel execution race-free when the first level indexes
-     * an output dimension.
-     */
-    template <typename Fn>
-    void
-    forEachStoredInTopRange(u64 begin, u64 end, Fn&& fn) const
-    {
-        std::vector<u32> level_coords(desc_.numLevels(), 0);
-        const BuiltLevel& top = levels_.front();
-        if (top.fmt == LevelFormat::Uncompressed) {
-            for (u64 c = begin; c < end && c < top.extent; ++c) {
-                level_coords[0] = static_cast<u32>(c);
-                walk(1, c, level_coords, fn);
-            }
-        } else {
-            for (u64 p = begin; p < end && p < top.crd.size(); ++p) {
-                level_coords[0] = top.crd[p];
-                walk(1, p, level_coords, fn);
-            }
-        }
-    }
-
     /** Visit only true nonzeros, with reconstructed full coordinates. */
     void forEachNonzero(
         const std::function<void(const std::array<u32, 3>&, float)>& fn) const;

@@ -1,19 +1,35 @@
 /**
  * @file
- * Correctness of the execution engine: format-generic kernels must agree
- * with the dense references for every format a sampled SuperSchedule can
- * describe, and the fast CSR/CSF kernels must agree under any parallel
- * configuration.
+ * Correctness of the execution engine: a tensor stored in any format a
+ * sampled SuperSchedule can describe, run in its own storage order through
+ * KernelBackend::execute, must agree with the dense references, and with
+ * its own serial run bit for bit under any parallel configuration;
+ * reduction-major storage must be detected (and then run serially); and
+ * WallclockMeasurer must report a sane median over either engine.
  */
 #include <gtest/gtest.h>
 
-#include "exec/kernels.hpp"
+#include <cmath>
+
+#include "codegen/kernel_backend.hpp"
 #include "exec/reference.hpp"
 #include "ir/schedule.hpp"
+#include "perfmodel/wallclock_backend.hpp"
 #include "util/rng.hpp"
 
 namespace waco {
 namespace {
+
+/** Run @p args.a in its own storage order through the interpreter; the
+ *  dense extent comes from B's columns. */
+LoopNestResult
+runStorageOrder(Algorithm alg, const LoopNestArgs& args,
+                const ParallelConfig& par = {})
+{
+    u32 extent = args.matB ? static_cast<u32>(args.matB->cols()) : 0;
+    return interpreterBackend().execute(
+        lowerStorageOrder(alg, args.a->descriptor(), extent), args, par);
+}
 
 SparseMatrix
 randomMatrix(u32 rows, u32 cols, u32 nnz, Rng& rng)
@@ -51,71 +67,15 @@ TEST(ExecHier, SpmvMatchesReferenceOnStandardFormats)
           FormatDescriptor::dense2d(50, 40),
           FormatDescriptor::coo2d(50, 40)}) {
         auto t = HierSparseTensor::build(desc, m);
-        auto got = spmvHier(t, b);
+        LoopNestArgs args{.a = &t, .vecB = &b};
+        auto got = runStorageOrder(Algorithm::SpMV, args).vec;
         EXPECT_LT(maxAbsDiff(want, got), 1e-4) << desc.name();
     }
 }
 
-TEST(ExecCsr, ParallelConfigsAgree)
-{
-    Rng rng(13);
-    auto m = randomMatrix(80, 70, 400, rng);
-    Csr csr(m);
-    DenseVector b(70);
-    b.randomize(rng);
-    auto serial = spmvCsr(csr, b);
-    for (u32 threads : {2u, 4u}) {
-        for (u32 chunk : {1u, 8u, 256u}) {
-            auto par = spmvCsr(csr, b, {threads, chunk});
-            EXPECT_LT(maxAbsDiff(serial, par), 1e-5);
-        }
-    }
-    DenseMatrix bm(70, 8);
-    bm.randomize(rng);
-    auto smm = spmmCsr(csr, bm);
-    auto pmm = spmmCsr(csr, bm, {4, 16});
-    EXPECT_LT(maxAbsDiff(smm, pmm), 1e-5);
-    EXPECT_LT(maxAbsDiff(smm, spmmReference(m, bm)), 1e-4);
-}
-
-TEST(ExecCsr, SddmmMatchesReference)
-{
-    Rng rng(17);
-    auto m = randomMatrix(30, 25, 90, rng);
-    DenseMatrix b(30, 12);
-    DenseMatrix c(12, 25, Layout::ColMajor);
-    b.randomize(rng);
-    c.randomize(rng);
-    auto want = sddmmReference(m, b, c);
-    auto got = sddmmCsr(m, b, c, {3, 4});
-    ASSERT_EQ(want.nnz(), got.nnz());
-    for (u64 n = 0; n < want.nnz(); ++n)
-        EXPECT_NEAR(want.values()[n], got.values()[n], 1e-3);
-}
-
-TEST(ExecCsf, MttkrpMatchesReference)
-{
-    Rng rng(19);
-    std::vector<Quad> q;
-    for (int n = 0; n < 200; ++n) {
-        q.push_back({static_cast<u32>(rng.index(20)),
-                     static_cast<u32>(rng.index(15)),
-                     static_cast<u32>(rng.index(10)),
-                     static_cast<float>(rng.uniformInt(1, 4))});
-    }
-    Sparse3Tensor t(20, 15, 10, q);
-    DenseMatrix b(15, 8), c(10, 8);
-    b.randomize(rng);
-    c.randomize(rng);
-    auto want = mttkrpReference(t, b, c);
-    EXPECT_LT(maxAbsDiff(want, mttkrpCsf(t, b, c, {2, 4})), 1e-3);
-    auto csf = HierSparseTensor::build(FormatDescriptor::csf3d(20, 15, 10), t);
-    EXPECT_LT(maxAbsDiff(want, mttkrpHier(csf, b, c)), 1e-3);
-}
-
 /**
  * Property: for any sampled SuperSchedule, building its format and running
- * the format-generic kernel reproduces the reference result. This is the
+ * it in storage order reproduces the reference result. This is the
  * end-to-end guarantee that the whole search space is executable.
  */
 class ScheduleExecution : public ::testing::TestWithParam<u64> {};
@@ -139,7 +99,8 @@ TEST_P(ScheduleExecution, SpmmCorrectUnderSampledFormats)
                     FormatDescriptor::csr(48, 36), m);
             }
         }();
-        auto got = spmmHier(t, b);
+        LoopNestArgs args{.a = &t, .matB = &b};
+        auto got = runStorageOrder(Algorithm::SpMM, args).mat;
         EXPECT_LT(maxAbsDiff(want, got), 1e-3) << s.key();
     }
 }
@@ -165,7 +126,8 @@ TEST_P(ScheduleExecution, SddmmCorrectUnderSampledFormats)
                     FormatDescriptor::csr(32, 40), m);
             }
         }();
-        auto got = sddmmHier(t, b, c);
+        LoopNestArgs args{.a = &t, .matB = &b, .matC = &c};
+        auto got = runStorageOrder(Algorithm::SDDMM, args).sparse;
         ASSERT_EQ(got.nnz(), want.nnz()) << s.key();
         for (u64 e = 0; e < want.nnz(); ++e)
             EXPECT_NEAR(want.values()[e], got.values()[e], 1e-3) << s.key();
@@ -175,14 +137,119 @@ TEST_P(ScheduleExecution, SddmmCorrectUnderSampledFormats)
 INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleExecution,
                          ::testing::Range<u64>(0, 10));
 
-TEST(ExecMeasure, MedianWallClockIsPositive)
+TEST(ScheduledExec, DetectsParallelizableStorage)
+{
+    auto csr = FormatDescriptor::csr(32, 32);
+    auto csc = FormatDescriptor::csc(32, 32);
+    auto parallel = [](Algorithm alg, const FormatDescriptor& desc) {
+        return exec_detail::topLoopParallelizable(
+            lowerStorageOrder(alg, desc));
+    };
+    // CSR is row (=output index i) major: parallel-safe for SpMV/SpMM.
+    EXPECT_TRUE(parallel(Algorithm::SpMV, csr));
+    // CSC is k-major; k reduces in SpMV: unsafe.
+    EXPECT_FALSE(parallel(Algorithm::SpMV, csc));
+    // For SDDMM both dimensions are safe.
+    EXPECT_TRUE(parallel(Algorithm::SDDMM, csc));
+}
+
+class ScheduledExecConfig
+    : public ::testing::TestWithParam<std::tuple<u32, u32>> {};
+
+TEST_P(ScheduledExecConfig, SpmvMatchesSerialAcrossFormats)
+{
+    auto [threads, chunk] = GetParam();
+    Rng rng(7);
+    auto m = randomMatrix(96, 64, 500, rng);
+    DenseVector b(64);
+    b.randomize(rng);
+    auto want = spmvReference(m, b);
+    for (const auto& desc :
+         {FormatDescriptor::csr(96, 64), FormatDescriptor::bcsr(96, 64, 4, 4),
+          FormatDescriptor::ucu(96, 64, 8),
+          FormatDescriptor::csc(96, 64)}) {
+        auto t = HierSparseTensor::build(desc, m);
+        LoopNestArgs args{.a = &t, .vecB = &b};
+        auto got =
+            runStorageOrder(Algorithm::SpMV, args, {threads, chunk}).vec;
+        EXPECT_LT(maxAbsDiff(want, got), 1e-4) << desc.name();
+        // Chunks own disjoint output rows: threading must not change a bit.
+        auto serial = runStorageOrder(Algorithm::SpMV, args, {1, 128}).vec;
+        EXPECT_EQ(0.0, maxAbsDiff(serial, got)) << desc.name();
+    }
+}
+
+TEST_P(ScheduledExecConfig, SpmmMatchesSerial)
+{
+    auto [threads, chunk] = GetParam();
+    Rng rng(8);
+    auto m = randomMatrix(64, 48, 400, rng);
+    DenseMatrix b(48, 8);
+    b.randomize(rng);
+    auto want = spmmReference(m, b);
+    auto t = HierSparseTensor::build(FormatDescriptor::csr(64, 48), m);
+    LoopNestArgs args{.a = &t, .matB = &b};
+    auto got = runStorageOrder(Algorithm::SpMM, args, {threads, chunk}).mat;
+    EXPECT_LT(maxAbsDiff(want, got), 1e-3);
+    auto serial = runStorageOrder(Algorithm::SpMM, args, {1, 128}).mat;
+    EXPECT_EQ(0.0, maxAbsDiff(serial, got));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadChunk, ScheduledExecConfig,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u),
+                       ::testing::Values(1u, 7u, 64u)));
+
+TEST(ScheduledExec, MttkrpMatchesReference)
+{
+    Rng rng(9);
+    std::vector<Quad> q;
+    for (int n = 0; n < 300; ++n) {
+        q.push_back({static_cast<u32>(rng.index(24)),
+                     static_cast<u32>(rng.index(18)),
+                     static_cast<u32>(rng.index(12)),
+                     static_cast<float>(rng.uniformInt(1, 4))});
+    }
+    Sparse3Tensor t3(24, 18, 12, q);
+    DenseMatrix b(18, 8), c(12, 8);
+    b.randomize(rng);
+    c.randomize(rng);
+    auto want = mttkrpReference(t3, b, c);
+    auto csf = HierSparseTensor::build(FormatDescriptor::csf3d(24, 18, 12),
+                                       t3);
+    LoopNestArgs args{.a = &csf, .matB = &b, .matC = &c};
+    auto got = runStorageOrder(Algorithm::MTTKRP, args, {3, 4}).mat;
+    EXPECT_LT(maxAbsDiff(want, got), 1e-3);
+}
+
+/** Median is finite and positive, and every measure() call counts once. */
+void
+expectSaneWallclock(KernelBackend& engine)
 {
     Rng rng(23);
     auto m = randomMatrix(64, 64, 300, rng);
-    auto t = HierSparseTensor::build(FormatDescriptor::csr(64, 64), m);
-    double sec = measureHierKernel(Algorithm::SpMV, t, 0, 3);
-    EXPECT_GT(sec, 0.0);
-    EXPECT_LT(sec, 1.0);
+    auto shape = ProblemShape::forMatrix(Algorithm::SpMV, 64, 64);
+    WallclockMeasurer measurer(engine, {.rounds = 3, .maxThreads = 2});
+    EXPECT_EQ(&measurer.engine(), &engine);
+    for (u64 call = 1; call <= 2; ++call) {
+        Measurement r = measurer.measure(m, shape, defaultSchedule(shape));
+        EXPECT_TRUE(r.valid) << r.invalidReason;
+        EXPECT_TRUE(std::isfinite(r.seconds));
+        EXPECT_GT(r.seconds, 0.0);
+        EXPECT_EQ(measurer.measurementCount(), call);
+    }
+}
+
+TEST(ExecMeasure, MedianWallClockIsPositive)
+{
+    expectSaneWallclock(interpreterBackend());
+}
+
+TEST(ExecMeasure, CompiledMedianWallClockIsPositive)
+{
+    if (!compiledBackend().compilerAvailable())
+        GTEST_SKIP() << "no working system C compiler";
+    expectSaneWallclock(compiledBackend());
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  *  - blocked vs naive GEMM kernels (exact on integer-valued floats, where
  *    every product and partial sum is representable regardless of
  *    summation order),
- *  - cached-rulebook sparse-conv forward vs the legacy fresh-forward path,
+ *  - cached-rulebook sparse-conv forward vs a fresh rulebook driven
+ *    through the per-pair saxpy reference,
  *  - batched vs scalar generic HNSW search (identical hit sets),
  *  - the float-lane l2 kernel vs the double-precision reference, with a
  *    recall pin,
@@ -25,7 +26,6 @@
 namespace waco {
 namespace {
 
-using nn::GemmKind;
 using nn::Mat;
 
 /** Fill with integer-valued floats in [-4, 4]: exact under any order. */
@@ -80,23 +80,6 @@ TEST(GemmDifferential, BlockedMatchesNaiveExactlyOnIntegerFloats)
     }
 }
 
-TEST(GemmDifferential, GemmKindSwitchRoutesToNaive)
-{
-    Rng rng(12);
-    Mat a(6, 10), b(10, 3);
-    for (auto& v : a.v)
-        v = static_cast<float>(rng.normal());
-    for (auto& v : b.v)
-        v = static_cast<float>(rng.normal());
-    nn::setGemmKind(GemmKind::Naive);
-    Mat c_switched;
-    nn::matmul(a, b, c_switched);
-    nn::setGemmKind(GemmKind::Blocked);
-    Mat c_naive;
-    nn::naive::matmul(a, b, c_naive);
-    EXPECT_EQ(c_switched.v, c_naive.v);
-}
-
 /** Random 2D coordinate cloud without duplicates. */
 std::vector<std::array<i32, 3>>
 randomCoords(u32 n, i32 extent, Rng& rng)
@@ -124,6 +107,38 @@ quantizeParams(std::vector<nn::Param*>& ps, Rng& rng)
             v = static_cast<float>(static_cast<int>(rng.index(5)) - 2);
 }
 
+/**
+ * Reference sparse-conv forward: bias, then one saxpy per (pair, input
+ * channel) with a zero-skip branch. @p ps is the layer's collectParams()
+ * order: one [in x out] filter per offset, then the [1 x out] bias.
+ */
+Mat
+saxpyForwardReference(const nn::SparseMap& in, const nn::Rulebook& rb,
+                      const std::vector<nn::Param*>& ps)
+{
+    const Mat& bias = ps.back()->w;
+    Mat out(static_cast<u32>(rb.outCoords.size()), bias.cols);
+    for (u32 q = 0; q < out.rows; ++q)
+        for (u32 c = 0; c < out.cols; ++c)
+            out.at(q, c) = bias.at(0, c);
+    for (std::size_t o = 0; o < rb.pairs.size(); ++o) {
+        const Mat& w = ps[o]->w;
+        for (const auto& [pi, qi] : rb.pairs[o]) {
+            const float* irow = in.feats.row(pi);
+            float* orow = out.row(qi);
+            for (u32 ci = 0; ci < w.rows; ++ci) {
+                float x = irow[ci];
+                if (x == 0.0f)
+                    continue;
+                const float* wrow = w.row(ci);
+                for (u32 co = 0; co < w.cols; ++co)
+                    orow[co] += x * wrow[co];
+            }
+        }
+    }
+    return out;
+}
+
 TEST(Rulebook, CachedForwardMatchesLegacyFreshForwardExactly)
 {
     Rng rng(21);
@@ -139,17 +154,15 @@ TEST(Rulebook, CachedForwardMatchesLegacyFreshForwardExactly)
         in.feats = Mat(in.numSites(), 2);
         fillInts(in.feats, rng);
 
-        // Legacy path: fresh rulebook + the original per-pair saxpy loops.
-        nn::setGemmKind(GemmKind::Naive);
-        auto legacy = conv.forward(in);
-        nn::setGemmKind(GemmKind::Blocked);
-
-        // New path: prebuilt rulebook + gather->GEMM->scatter.
         auto rb = conv.buildRulebook(in.coords);
-        auto fast = conv.forward(in, rb);
+        Mat want = saxpyForwardReference(in, rb, ps);
 
-        ASSERT_EQ(fast.coords, legacy.coords) << "stride " << stride;
-        ASSERT_EQ(fast.feats.v, legacy.feats.v) << "stride " << stride;
+        // Engine: gather->GEMM->scatter through the prebuilt rulebook and
+        // through the layer-owned fresh one.
+        auto fast = conv.forward(in, rb);
+        ASSERT_EQ(fast.coords, rb.outCoords) << "stride " << stride;
+        ASSERT_EQ(fast.feats.v, want.v) << "stride " << stride;
+        ASSERT_EQ(conv.forward(in).feats.v, want.v) << "stride " << stride;
     }
 }
 
@@ -182,12 +195,11 @@ TEST(Rulebook, CacheReturnsIdenticalChainsAndCountsHits)
     EXPECT_EQ(snapshot(cache.chain(coords_b, stack)), first_b);
     EXPECT_EQ(cache.hits(), 2u);
 
-    // Disabled cache rebuilds fresh chains with identical geometry.
-    nn::setRulebookCacheEnabled(false);
+    // A cold cache rebuilds fresh chains with identical geometry.
     nn::RulebookCache cold;
     EXPECT_EQ(snapshot(cold.chain(coords_a, stack)), first_a);
     EXPECT_EQ(cold.hits(), 0u);
-    nn::setRulebookCacheEnabled(true);
+    EXPECT_EQ(cold.misses(), 1u);
 }
 
 TEST(HnswBatched, ReturnsIdenticalHitsAndEvalsToScalarSearch)

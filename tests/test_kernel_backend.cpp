@@ -44,8 +44,9 @@ fillInt(DenseMatrix& m, Rng& rng)
 }
 
 /** A fresh backend with an isolated temp dir is not needed — the default
- *  per-process dir is shared safely — but tests that tweak options build
- *  their own instance so they never pollute the global backend's stats. */
+ *  per-process dir is shared safely (LiveInstancesNeverShareAKernel pins
+ *  that) — but tests that tweak options build their own instance so they
+ *  never pollute the global backend's stats. */
 CompiledBackendOptions
 defaultOpts()
 {
@@ -311,6 +312,34 @@ TEST(CompiledBackend, SecondExecutionHitsCacheWithZeroRecompiles)
     EXPECT_GE(hits.total(), 1u);
 }
 
+/** Backends share the per-process temp dir; two live ones must still
+ *  each run their own kernel, never the other's loaded library. */
+TEST(CompiledBackend, LiveInstancesNeverShareAKernel)
+{
+    if (!compiledBackend().compilerAvailable())
+        GTEST_SKIP() << "no system C compiler on this host";
+    Rng rng(14);
+    auto m = intMatrix(32, 24, 150, rng);
+    auto desc = FormatDescriptor::csr(32, 24);
+    auto t = HierSparseTensor::build(desc, m);
+    DenseVector v(24);
+    for (u64 i = 0; i < v.size(); ++i)
+        v[i] = static_cast<float>(rng.uniformInt(1, 3));
+    DenseMatrix b(24, 4);
+    fillInt(b, rng);
+    LoopNestArgs vargs{.a = &t, .vecB = &v};
+    LoopNestArgs margs{.a = &t, .matB = &b};
+    auto spmv = lowerStorageOrder(Algorithm::SpMV, desc);
+    auto spmm = lowerStorageOrder(Algorithm::SpMM, desc, 4);
+
+    CompiledBackend first, second;
+    auto got_v = first.execute(spmv, vargs).vec;
+    auto got_m = second.execute(spmm, margs).mat;
+    EXPECT_EQ(0.0, maxAbsDiff(executeLoopNest(spmv, vargs).vec, got_v));
+    EXPECT_EQ(0.0, maxAbsDiff(executeLoopNest(spmm, margs).mat, got_m));
+    EXPECT_EQ(first.stats().fallbacks + second.stats().fallbacks, 0u);
+}
+
 TEST(CompiledBackend, EmittedSourceContainsAbiEntrypoint)
 {
     auto nest = lowerStorageOrder(Algorithm::SpMM,
@@ -378,7 +407,7 @@ TEST(CompiledKernelTsan, ConcurrentExecutionsCompileOnceAndAgree)
 }
 
 // ---------------------------------------------------------------------------
-// Backend selection plumbing.
+// Backend name parsing (tune_cli --backend).
 // ---------------------------------------------------------------------------
 
 TEST(KernelBackendSelect, NamesParse)
@@ -389,16 +418,6 @@ TEST(KernelBackendSelect, NamesParse)
     EXPECT_TRUE(kernelBackendFromName("compiled", kind));
     EXPECT_EQ(kind, KernelBackendKind::Compiled);
     EXPECT_FALSE(kernelBackendFromName("cuda", kind));
-}
-
-TEST(KernelBackendSelect, ActiveBackendDefaultsToInterpreter)
-{
-    EXPECT_EQ(activeKernelBackendKind(), KernelBackendKind::Interpreter);
-    EXPECT_EQ(activeKernelBackend().name(), "interp");
-    setActiveKernelBackend(KernelBackendKind::Compiled);
-    EXPECT_EQ(activeKernelBackend().name(), "compiled");
-    setActiveKernelBackend(KernelBackendKind::Interpreter);
-    EXPECT_EQ(activeKernelBackend().name(), "interp");
 }
 
 } // namespace

@@ -14,8 +14,9 @@
  *
  * Also here: unit tests of the ThreadPool runtime (full coverage, the
  * chunk-count participation cap that fixes the old dynamicTopLevel
- * oversubscription, reuse across calls) and the guarantee that every
- * kernel entry point dispatches through the single generic executor.
+ * oversubscription, reuse across calls) and the guarantee that both
+ * backends, serial and parallel, dispatch through the single generic
+ * executor.
  */
 #include <gtest/gtest.h>
 
@@ -29,7 +30,6 @@
 #include "codegen/kernel_backend.hpp"
 #include "exec/loopnest_exec.hpp"
 #include "exec/reference.hpp"
-#include "exec/scheduled.hpp"
 #include "ir/loopnest.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -431,8 +431,18 @@ TEST(LoopNestFuzz, FusedSddmmSpmmBitMatchesReference)
 }
 
 // ---------------------------------------------------------------------------
-// Every kernel entry point dispatches through the one generic executor.
+// Every execution dispatches through the one generic executor.
 // ---------------------------------------------------------------------------
+
+/** Run @p args.a in its own storage order through the interpreter. */
+LoopNestResult
+runStorageOrder(Algorithm alg, const LoopNestArgs& args,
+                const ParallelConfig& par)
+{
+    u32 extent = args.matB ? static_cast<u32>(args.matB->cols()) : 0;
+    return interpreterBackend().execute(
+        lowerStorageOrder(alg, args.a->descriptor(), extent), args, par);
+}
 
 TEST(LoopNestDispatch, AllFiveAlgorithmsUseExecuteLoopNest)
 {
@@ -453,17 +463,20 @@ TEST(LoopNestDispatch, AllFiveAlgorithmsUseExecuteLoopNest)
     fillInt(kb, rng);
     fillInt(kc, rng);
 
+    LoopNestArgs spmv{.a = &csr, .vecB = &vb};
+    LoopNestArgs spmm{.a = &csr, .matB = &mb};
+    LoopNestArgs sddmm{.a = &csr, .matB = &sb, .matC = &sc};
+    LoopNestArgs mttkrp{.a = &csf, .matB = &kb, .matC = &kc};
+    LoopNestArgs fused{.a = &csr, .matB = &sb, .matC = &sc, .matF = &fb};
+
     u64 before = loopNestExecutionCount();
-    spmvHier(csr, vb);
-    spmmHier(csr, mb);
-    sddmmHier(csr, sb, sc);
-    mttkrpHier(csf, kb, kc);
-    fusedSddmmSpmmHier(csr, sb, sc, fb);
-    spmvScheduled(csr, vb, {2, 8});
-    spmmScheduled(csr, mb, {2, 8});
-    sddmmScheduled(csr, sb, sc, {2, 8});
-    mttkrpScheduled(csf, kb, kc, {2, 8});
-    fusedSddmmSpmmScheduled(csr, sb, sc, fb, {2, 8});
+    for (ParallelConfig par : {ParallelConfig{1, 128}, ParallelConfig{2, 8}}) {
+        runStorageOrder(Algorithm::SpMV, spmv, par);
+        runStorageOrder(Algorithm::SpMM, spmm, par);
+        runStorageOrder(Algorithm::SDDMM, sddmm, par);
+        runStorageOrder(Algorithm::MTTKRP, mttkrp, par);
+        runStorageOrder(Algorithm::FusedSDDMMSpMM, fused, par);
+    }
     EXPECT_EQ(loopNestExecutionCount() - before, 10u);
 }
 
@@ -479,7 +492,8 @@ TEST(LoopNestDispatch, SddmmScheduledMatchesReferenceInParallel)
     for (const auto& desc :
          {FormatDescriptor::csr(64, 48), FormatDescriptor::csc(64, 48)}) {
         auto t = HierSparseTensor::build(desc, m);
-        auto got = sddmmScheduled(t, b, c, {4, 8});
+        LoopNestArgs args{.a = &t, .matB = &b, .matC = &c};
+        auto got = runStorageOrder(Algorithm::SDDMM, args, {4, 8}).sparse;
         ASSERT_EQ(want.nnz(), got.nnz()) << desc.name();
         for (u64 n = 0; n < want.nnz(); ++n)
             EXPECT_EQ(want.values()[n], got.values()[n]) << desc.name();
@@ -506,12 +520,15 @@ TEST(FusedWorkspaceTsan, ParallelChunksUsePrivateWorkspaces)
     for (const auto& desc :
          {FormatDescriptor::csr(96, 80), FormatDescriptor::csc(96, 80)}) {
         auto t = HierSparseTensor::build(desc, m);
-        auto serial = fusedSddmmSpmmScheduled(t, b, c, f, {1, 16});
+        LoopNestArgs args{.a = &t, .matB = &b, .matC = &c, .matF = &f};
+        auto serial =
+            runStorageOrder(Algorithm::FusedSDDMMSpMM, args, {1, 16}).mat;
         EXPECT_EQ(0.0, maxAbsDiff(want, serial)) << desc.name();
         // Repeated heavily-chunked parallel runs: any cross-chunk workspace
         // sharing would race (tsan) and break bitwise equality.
         for (u32 run = 0; run < 4; ++run) {
-            auto par = fusedSddmmSpmmScheduled(t, b, c, f, {4, 3});
+            auto par =
+                runStorageOrder(Algorithm::FusedSDDMMSpMM, args, {4, 3}).mat;
             EXPECT_EQ(0.0, maxAbsDiff(want, par))
                 << desc.name() << " run " << run;
         }

@@ -488,7 +488,6 @@ TEST_F(ObservabilityTest, TunePipelineTracedVsUntracedIsIdentical)
 
 TEST_F(ObservabilityTest, RulebookCacheEvictionCounters)
 {
-    ASSERT_TRUE(nn::rulebookCacheEnabled());
     metrics::setEnabled(true);
     auto& reg = metrics::MetricsRegistry::instance();
     u64 hits0 = reg.counter("rulebook.hits").total();

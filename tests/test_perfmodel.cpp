@@ -6,8 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
+
 #include "perfmodel/cost_model.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace waco {
 namespace {
@@ -198,6 +202,37 @@ TEST_F(PerfModelTest, MttkrpMeasurable)
                  .measure(t, shape, defaultSchedule(shape));
     EXPECT_TRUE(r.valid);
     EXPECT_GT(r.seconds, 0.0);
+}
+
+/**
+ * Inputs of at least 2^16 nonzeros fan the oracle's distinct-count scan out
+ * over the global pool; every worker must OR into the calling thread's
+ * bitmap. The pool starts with zero workers, so it is grown explicitly —
+ * otherwise the scan would run on the caller alone and prove nothing.
+ * A measurement from a fresh thread (whose thread-local counter is new)
+ * must match the main thread's bit for bit.
+ */
+TEST(OracleParallelScan, WorkersShareTheCallersCounter)
+{
+    globalPool().ensureWorkers(7);
+    auto m = uniformRandom(2048, 2048, 1u << 17, 41);
+    ASSERT_GE(m.nnz(), 1ull << 16);
+    RuntimeOracle oracle(MachineConfig::intel24());
+    auto shape = ProblemShape::forMatrix(Algorithm::SpMM, 2048, 2048, 32);
+    auto s = defaultSchedule(shape);
+
+    Measurement on_main = oracle.measure(m, shape, s);
+    Measurement on_fresh;
+    std::thread fresh([&] { on_fresh = oracle.measure(m, shape, s); });
+    fresh.join();
+
+    ASSERT_TRUE(on_main.valid) << on_main.invalidReason;
+    ASSERT_TRUE(on_fresh.valid) << on_fresh.invalidReason;
+    EXPECT_GT(on_main.seconds, 0.0);
+    EXPECT_EQ(0, std::memcmp(&on_main.seconds, &on_fresh.seconds,
+                             sizeof(double)));
+    EXPECT_EQ(0, std::memcmp(&on_main.missBytes, &on_fresh.missBytes,
+                             sizeof(double)));
 }
 
 } // namespace
