@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/hash.hpp"
+
 namespace waco {
 
 namespace {
@@ -140,18 +142,6 @@ readEntry(std::istream& in, Algorithm alg)
     return e;
 }
 
-/** FNV-1a over a byte range; the footer checksum. */
-u64
-fnv1a(const char* data, std::size_t n)
-{
-    u64 h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 constexpr std::size_t kFooterBytes = sizeof(u32) + sizeof(u64);
 
 /** Atomically-ish write payload + checksum footer to @p path. */
@@ -162,7 +152,7 @@ writeChecksummed(const std::string& payload, const std::string& path)
     fatalIf(!out, "cannot open for writing: " + path);
     out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
     writePod(out, kFooterMagic);
-    writePod(out, fnv1a(payload.data(), payload.size()));
+    writePod(out, fnv1a64(payload.data(), payload.size()));
     fatalIf(!out, "write failed: " + path);
 }
 
@@ -183,7 +173,7 @@ readChecksummed(const std::string& path)
     fatalIf(readPod<u32>(foot) != kFooterMagic,
             "truncated or corrupt dataset file (bad footer): " + path);
     u64 want = readPod<u64>(foot);
-    fatalIf(fnv1a(all.data(), payload_size) != want,
+    fatalIf(fnv1a64(all.data(), payload_size) != want,
             "dataset file checksum mismatch (corrupt): " + path);
     all.resize(payload_size);
     return all;

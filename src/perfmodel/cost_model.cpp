@@ -117,7 +117,7 @@ Measurement
 RuntimeOracle::measure(const SparseMatrix& m, const ProblemShape& shape,
                        const SuperSchedule& s) const
 {
-    ++measurements_;
+    measurements_.fetch_add(1);
     Measurement out;
     try {
         LoopNest nest = lower(s, shape); // validates the schedule
@@ -139,7 +139,7 @@ Measurement
 RuntimeOracle::measure(const Sparse3Tensor& t, const ProblemShape& shape,
                        const SuperSchedule& s) const
 {
-    ++measurements_;
+    measurements_.fetch_add(1);
     Measurement out;
     try {
         LoopNest nest = lower(s, shape); // validates the schedule

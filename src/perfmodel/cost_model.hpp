@@ -28,6 +28,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -125,7 +126,7 @@ class RuntimeOracle : public MeasurementBackend
     double conversionSeconds(u64 nnz, u64 stored_values) const;
 
     /** Total measurement count so far (tuning-cost accounting, Fig. 17). */
-    u64 measurementCount() const override { return measurements_; }
+    u64 measurementCount() const override { return measurements_.load(); }
 
   private:
     /** The analytical model proper. Walks the lowered @p nest for all loop
@@ -138,7 +139,7 @@ class RuntimeOracle : public MeasurementBackend
 
     MachineConfig machine_;
     u64 maxFormatBytes_;
-    mutable u64 measurements_ = 0;
+    mutable std::atomic<u64> measurements_{0};
 };
 
 } // namespace waco

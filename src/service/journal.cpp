@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <iterator>
 
+#include "util/hash.hpp"
+
 namespace waco::service {
 
 namespace {
@@ -24,17 +26,6 @@ loadPod(const char* p)
 }
 
 } // namespace
-
-u64
-fnv1aHash(const char* data, std::size_t n)
-{
-    u64 h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 JournalRecovery
 recoverJournal(const std::string& path, bool truncate_torn_tail)
@@ -58,7 +49,7 @@ recoverJournal(const std::string& path, bool truncate_torn_tail)
             break; // record body or checksum did not finish writing
         const char* payload = all.data() + pos + kHeaderBytes;
         u64 want = loadPod<u64>(all.data() + pos + kHeaderBytes + len);
-        if (fnv1aHash(payload, len) != want)
+        if (fnv1a64(payload, len) != want)
             break; // payload bytes landed but are corrupt
         rec.records.emplace_back(payload, len);
         pos = end;
@@ -94,7 +85,7 @@ JournalWriter::append(const std::string& payload)
     fatalIf(payload.size() > kMaxPayloadBytes, "journal record too large");
     u32 magic = kRecordMagic;
     u32 len = static_cast<u32>(payload.size());
-    u64 sum = fnv1aHash(payload.data(), payload.size());
+    u64 sum = fnv1a64(payload.data(), payload.size());
     out_.write(reinterpret_cast<const char*>(&magic), sizeof magic);
     out_.write(reinterpret_cast<const char*>(&len), sizeof len);
     out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));

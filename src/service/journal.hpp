@@ -5,7 +5,7 @@
  *
  * Layout is a sequence of self-delimiting records
  *
- *   u32 magic "WJR1" | u32 payloadBytes | payload | u64 fnv1a(payload)
+ *   u32 magic "WJR1" | u32 payloadBytes | payload | u64 fnv1a64(payload)
  *
  * with no global header or footer, so a writer can die at ANY byte offset
  * (power loss mid-append, SIGKILL between write and flush) and recovery
@@ -26,9 +26,6 @@
 #include "util/common.hpp"
 
 namespace waco::service {
-
-/** FNV-1a of a byte range (journal record checksums). */
-u64 fnv1aHash(const char* data, std::size_t n);
 
 /** Outcome of scanning a journal file. */
 struct JournalRecovery

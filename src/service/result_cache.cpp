@@ -9,7 +9,9 @@ namespace waco::service {
 
 namespace {
 
-constexpr u32 kRecordVersion = 1;
+/** Version 2: records are keyed by patternKey. Version-1 records carried a
+ *  statistics fingerprint and are skipped on replay. */
+constexpr u32 kRecordVersion = 2;
 
 template <typename T>
 void
@@ -33,11 +35,11 @@ getPod(const std::string& in, std::size_t* pos, T* v)
 } // namespace
 
 std::string
-ResultCache::packRecord(u64 fingerprint, Algorithm alg, const CachedResult& r)
+ResultCache::packRecord(u64 pattern_key, Algorithm alg, const CachedResult& r)
 {
     std::string out;
     putPod<u32>(out, kRecordVersion);
-    putPod<u64>(out, fingerprint);
+    putPod<u64>(out, pattern_key);
     putPod<u32>(out, static_cast<u32>(alg));
     putPod<double>(out, r.seconds);
     putPod<u32>(out, static_cast<u32>(r.scheduleKey.size()));
@@ -46,14 +48,14 @@ ResultCache::packRecord(u64 fingerprint, Algorithm alg, const CachedResult& r)
 }
 
 bool
-ResultCache::unpackRecord(const std::string& payload, u64* fingerprint,
+ResultCache::unpackRecord(const std::string& payload, u64* pattern_key,
                           Algorithm* alg, CachedResult* r)
 {
     std::size_t pos = 0;
     u32 version = 0, alg_raw = 0, key_len = 0;
     if (!getPod(payload, &pos, &version) || version != kRecordVersion)
         return false;
-    if (!getPod(payload, &pos, fingerprint) ||
+    if (!getPod(payload, &pos, pattern_key) ||
         !getPod(payload, &pos, &alg_raw) ||
         !getPod(payload, &pos, &r->seconds) ||
         !getPod(payload, &pos, &key_len))
@@ -95,10 +97,10 @@ ResultCache::size() const
 }
 
 bool
-ResultCache::lookup(u64 fingerprint, Algorithm alg, CachedResult* out) const
+ResultCache::lookup(u64 pattern_key, Algorithm alg, CachedResult* out) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = map_.find(keyOf(fingerprint, alg));
+    auto it = map_.find(keyOf(pattern_key, alg));
     if (it == map_.end())
         return false;
     *out = it->second;
@@ -106,12 +108,12 @@ ResultCache::lookup(u64 fingerprint, Algorithm alg, CachedResult* out) const
 }
 
 void
-ResultCache::put(u64 fingerprint, Algorithm alg, const CachedResult& result)
+ResultCache::put(u64 pattern_key, Algorithm alg, const CachedResult& result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    map_[keyOf(fingerprint, alg)] = result;
+    map_[keyOf(pattern_key, alg)] = result;
     if (writer_.isOpen())
-        writer_.append(packRecord(fingerprint, alg, result));
+        writer_.append(packRecord(pattern_key, alg, result));
 }
 
 } // namespace waco::service

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "tensor/pattern_stats.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
 #include "util/stats.hpp"
@@ -143,20 +142,19 @@ TunerService::submit(const SparseMatrix& m, const std::string& tenant,
 {
     WACO_SPAN("service.submit");
     auto t = std::make_shared<TuneTicket>();
-    t->matrix_ = m;
     t->tenant_ = tenant;
     t->submitTime_ = std::chrono::steady_clock::now();
-    t->fingerprint_ = patternFingerprint(computePatternStats(m));
+    t->patternKey_ = patternKey(m);
     if (std::isnan(deadline_seconds))
         deadline_seconds = cfg_.defaultDeadlineSeconds;
     t->cancelToken_.setDeadline(deadline_seconds);
 
     WACO_COUNT("service.requests", 1);
 
-    // Fast path: a byte-identical pattern was already co-optimized — answer
-    // from the cache without touching the queue or the tuner.
+    // Fast path: the exact same pattern was already co-optimized — answer
+    // from the cache without copying the matrix, queueing, or tuning.
     CachedResult hit;
-    if (cache_.lookup(t->fingerprint_, tuner_.algorithm(), &hit)) {
+    if (cache_.lookup(t->patternKey_, tuner_.algorithm(), &hit)) {
         WACO_COUNT("service.cache.hits", 1);
         TuneResponse r;
         r.status = ServiceStatus::Ok;
@@ -201,6 +199,7 @@ TunerService::submit(const SparseMatrix& m, const std::string& tenant,
             return t;
         }
         ++tenantInflight_[tenant];
+        t->matrix_ = m; // only queued requests need their own copy
         t->enqueued_ = true;
         queue_.push_back(t);
         WACO_GAUGE("service.queue_depth", static_cast<double>(queue_.size()));
@@ -272,7 +271,7 @@ TunerService::process(const TicketPtr& t)
     // A duplicate may have been queued behind the request that populated
     // the cache — re-check before paying for a search.
     CachedResult hit;
-    if (cache_.lookup(t->fingerprint_, tuner_.algorithm(), &hit)) {
+    if (cache_.lookup(t->patternKey_, tuner_.algorithm(), &hit)) {
         WACO_COUNT("service.cache.hits", 1);
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -329,7 +328,7 @@ TunerService::process(const TicketPtr& t)
             // Only un-degraded, measured winners enter the cache: a cache
             // hit must be as good as the full protocol's answer.
             if (r.measured)
-                cache_.put(t->fingerprint_, tuner_.algorithm(),
+                cache_.put(t->patternKey_, tuner_.algorithm(),
                            {r.scheduleKey, r.expectedSeconds});
         }
     } catch (const CancelledError& e) {

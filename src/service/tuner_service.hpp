@@ -20,9 +20,12 @@
  *        FullSearch -> CacheHit -> ModelOnly -> DefaultSchedule
  *    Every response records the rung it was served from, so a client can
  *    tell a co-optimized answer from a safe fallback.
- *  - Crash-safe result cache: (pattern fingerprint, algorithm) -> winning
- *    schedule, persisted via an append-only checksummed journal that
- *    recovers across restarts (service/result_cache.hpp).
+ *  - Crash-safe result cache: (patternKey, algorithm) -> winning schedule,
+ *    persisted via an append-only checksummed journal that recovers across
+ *    restarts (service/result_cache.hpp). The key is an exact O(nnz) hash
+ *    of the pattern (tensor/coo.hpp), so a repeat is answered inside
+ *    submit() without copying the matrix, and a merely similar pattern
+ *    (a transpose, one moved nonzero) misses.
  *
  * Every response is typed and every degraded answer is still a *valid*
  * schedule (worst rung = the CSR-row-parallel default); the service never
@@ -135,11 +138,12 @@ class TuneTicket
     ServiceStatus admission_ = ServiceStatus::Accepted;
     TuneResponse response_;
 
-    // Request payload (owned; the client's matrix may go away).
+    // Request payload. The matrix is copied only when the request is
+    // queued (the client's matrix may go away); cache hits never copy it.
     SparseMatrix matrix_;
     std::string tenant_;
     bool enqueued_ = false; ///< Holds a tenant in-flight slot until finish.
-    u64 fingerprint_ = 0;
+    u64 patternKey_ = 0;    ///< patternKey(matrix), the result-cache key.
     CancelToken cancelToken_;
     std::chrono::steady_clock::time_point submitTime_;
 };

@@ -96,6 +96,43 @@ SparseMatrix::operator==(const SparseMatrix& o) const
            col_ == o.col_ && val_ == o.val_;
 }
 
+namespace {
+
+/** One step of the pattern-key mix: xor the word in, multiply by an odd
+ *  constant, fold the high half down so row bits reach every state bit.
+ *  All three steps are bijections of @p h for a fixed @p w. */
+u64
+mixPatternWord(u64 h, u64 w)
+{
+    h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+    return h ^ (h >> 32);
+}
+
+u64
+packPair(u32 hi, u32 lo)
+{
+    return (static_cast<u64>(hi) << 32) | lo;
+}
+
+} // namespace
+
+u64
+patternKey(const SparseMatrix& m)
+{
+    u64 h = mixPatternWord(0x243f6a8885a308d3ull, packPair(m.rows(), m.cols()));
+    h = mixPatternWord(h, m.nnz());
+    const u32* ri = m.rowIndices().data();
+    const u32* ci = m.colIndices().data();
+    for (u64 n = 0; n < m.nnz(); ++n)
+        h = mixPatternWord(h, packPair(ri[n], ci[n]));
+    // MurmurHash3 finalizer: avalanche the last words over all 64 bits.
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ull;
+    return h ^ (h >> 33);
+}
+
 Sparse3Tensor::Sparse3Tensor(u32 di, u32 dk, u32 dl, std::vector<Quad> entries,
                              std::string name)
     : dims_({di, dk, dl}), name_(std::move(name))

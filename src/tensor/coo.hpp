@@ -80,6 +80,19 @@ class SparseMatrix
     std::string name_;
 };
 
+/**
+ * Exact 64-bit key of a matrix's sparsity pattern: the dimensions, the
+ * nonzero count and every stored (row, col) pair, in one O(nnz) pass.
+ * Values and the name do not enter the key. The stored pairs are sorted
+ * and duplicate-free, so equal patterns always get equal keys. Two
+ * patterns whose pair sequences differ in exactly one position never
+ * collide (each mixing step is a bijection of the state); any other pair of
+ * distinct patterns collides with probability about 2^-64. The key is
+ * computed from integer values, not bytes, so it is the same on every host
+ * and may be persisted.
+ */
+u64 patternKey(const SparseMatrix& m);
+
 /** One nonzero of a 3D sparse tensor. */
 struct Quad
 {

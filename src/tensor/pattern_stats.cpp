@@ -153,44 +153,4 @@ computePatternStats(const SparseMatrix& m)
     return s;
 }
 
-u64
-patternFingerprint(const PatternStats& s)
-{
-    // FNV-1a over the exact integer geometry plus the bit patterns of every
-    // statistic. Doubles are hashed via their representations, so the
-    // fingerprint is exactly as deterministic as computePatternStats.
-    u64 h = 0xcbf29ce484222325ull;
-    auto mix_bytes = [&h](const void* p, std::size_t n) {
-        const auto* bytes = static_cast<const unsigned char*>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= bytes[i];
-            h *= 0x100000001b3ull;
-        }
-    };
-    auto mix_u64 = [&](u64 v) { mix_bytes(&v, sizeof v); };
-    auto mix_f64 = [&](double v) { mix_bytes(&v, sizeof v); };
-
-    mix_u64(s.rows);
-    mix_u64(s.cols);
-    mix_u64(s.nnz);
-    mix_f64(s.density);
-    mix_f64(s.nnzPerRowMean);
-    mix_f64(s.nnzPerRowStd);
-    mix_u64(s.nnzPerRowMax);
-    mix_f64(s.rowSkew);
-    mix_f64(s.emptyRowFrac);
-    mix_f64(s.nnzPerColMean);
-    mix_f64(s.nnzPerColStd);
-    mix_f64(s.normalizedBandwidth);
-    mix_f64(s.rowNeighborFrac);
-    mix_f64(s.colNeighborFrac);
-    mix_f64(s.symmetryFrac);
-    for (const auto& bf : s.blockFills) {
-        mix_u64(bf.blockSize);
-        mix_u64(bf.occupiedBlocks);
-        mix_f64(bf.fill);
-    }
-    return h;
-}
-
 } // namespace waco

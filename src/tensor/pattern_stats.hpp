@@ -1,11 +1,12 @@
 /**
  * @file
- * Cheap statistical summary of a sparsity pattern.
+ * Statistical summary of a sparsity pattern.
  *
- * Used in three places: the HumanFeature baseline extractor (Fig. 15), the
- * BestFormat classifier features, and the analytical machine model (dense
- * block fill ratios decide whether a blocked format pays off, row-skew
- * decides load balance, bandwidth decides dense-operand locality).
+ * Its only user is the baselines: the BestFormat classifier learns from
+ * these features (baselines/baselines.hpp). It is not a cache key: the
+ * statistics do not identify a pattern (a matrix and its transpose often
+ * share them), and several hash-set passes cost milliseconds on large
+ * inputs. The service keys its result cache on patternKey (tensor/coo.hpp).
  */
 #pragma once
 
@@ -72,16 +73,5 @@ struct PatternStats
 
 /** Compute all statistics in one pass over the matrix (O(nnz) time). */
 PatternStats computePatternStats(const SparseMatrix& m);
-
-/**
- * Order-stable 64-bit FNV-1a fingerprint of a pattern: exact dimensions
- * and nonzero count plus the bit patterns of every summary statistic and
- * block-fill entry. Identical matrices always collide (the service's
- * cross-request result cache keys on this); distinct patterns practically
- * never do, because any single differing nonzero shifts several of the
- * hashed statistics. Deliberately conservative: "similar" matrices get
- * different fingerprints — a cache hit must be safe, not just likely-good.
- */
-u64 patternFingerprint(const PatternStats& s);
 
 } // namespace waco

@@ -6,13 +6,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "codegen/emit.hpp"
 #include "core/dataset_io.hpp"
 #include "data/generators.hpp"
 #include "perfmodel/cost_model.hpp"
+#include "util/hash.hpp"
 
 namespace waco {
 namespace {
@@ -123,6 +126,35 @@ TEST(DatasetIo, DatasetRoundTrip3d)
     ASSERT_EQ(back.entries.size(), ds.entries.size());
     EXPECT_TRUE(back.entries[0].is3d);
     EXPECT_EQ(back.entries[0].tensor.nnz(), ds.entries[0].tensor.nnz());
+    std::remove(path.c_str());
+}
+
+TEST(DatasetIo, FooterChecksumIsFnv1a64OfPayload)
+{
+    // Pins the on-disk checksum of datasets and labeling checkpoints:
+    // files written before any refactor of the hash must still load.
+    EXPECT_EQ(fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
+
+    RuntimeOracle oracle(MachineConfig::intel24());
+    CorpusOptions copt;
+    copt.count = 1;
+    copt.minDim = 64;
+    copt.maxDim = 64;
+    copt.minNnz = 100;
+    copt.maxNnz = 100;
+    auto ds = buildDataset(Algorithm::SpMV, makeCorpus(copt, 75), oracle,
+                           2, 76);
+    std::string path = ::testing::TempDir() + "/waco_ds_footer.bin";
+    saveDataset(ds, path);
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    // Footer: u32 magic "WEND" | u64 fnv1a64(payload).
+    ASSERT_GT(bytes.size(), 12u);
+    std::size_t payload = bytes.size() - 12;
+    u64 sum = 0;
+    std::memcpy(&sum, bytes.data() + payload + 4, sizeof sum);
+    EXPECT_EQ(sum, fnv1a64(bytes.data(), payload));
     std::remove(path.c_str());
 }
 

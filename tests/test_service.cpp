@@ -10,9 +10,12 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
+#include <utility>
 
 #include "analysis/schedule_verifier.hpp"
 #include "core/waco_tuner.hpp"
@@ -22,6 +25,7 @@
 #include "service/journal.hpp"
 #include "service/result_cache.hpp"
 #include "service/tuner_service.hpp"
+#include "util/hash.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
 
@@ -155,6 +159,29 @@ TEST(Journal, RoundTripAndEmptyRecovery)
     std::filesystem::remove(path);
 }
 
+TEST(Journal, ChecksumIsFnv1a64)
+{
+    // Pins the on-disk checksum: journals written before and after any
+    // refactor of the hash must still verify.
+    EXPECT_EQ(fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv1a64("", 0), kFnv1aOffsetBasis);
+
+    std::string path = tmpPath("waco_journal_checksum.bin");
+    std::filesystem::remove(path);
+    JournalWriter w;
+    w.open(path);
+    w.append("a");
+    w.close();
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    ASSERT_EQ(bytes.size(), 4u + 4u + 1u + 8u);
+    u64 trailer = 0;
+    std::memcpy(&trailer, bytes.data() + 9, sizeof trailer);
+    EXPECT_EQ(trailer, 0xaf63dc4c8601ec8cull);
+    std::filesystem::remove(path);
+}
+
 TEST(Journal, TornTailRecoveryAtEveryByteOffset)
 {
     // Build a clean 3-record journal and remember each record's end offset.
@@ -280,6 +307,54 @@ TEST(ResultCache, PersistsAcrossReopenWithLastWriterWins)
     EXPECT_DOUBLE_EQ(out.seconds, 0.125);
     ASSERT_TRUE(cache.lookup(2, Algorithm::SpMV, &out));
     EXPECT_EQ(out.scheduleKey, "two");
+    std::filesystem::remove(path);
+}
+
+TEST(ResultCache, SkipsVersion1Records)
+{
+    // Version-1 records were keyed by a statistics fingerprint that no
+    // pattern key can match; replay must skip them, not load them.
+    std::string path = tmpPath("waco_result_cache_v1.bin");
+    std::filesystem::remove(path);
+    {
+        std::string v1;
+        auto put = [&v1](const auto& v) {
+            v1.append(reinterpret_cast<const char*>(&v), sizeof v);
+        };
+        const std::string key = "old-schedule";
+        put(u32{1});
+        put(u64{0x1234});
+        put(static_cast<u32>(Algorithm::SpMV));
+        put(0.25);
+        put(static_cast<u32>(key.size()));
+        v1 += key;
+        JournalWriter w;
+        w.open(path);
+        w.append(v1);
+    }
+    metrics::setEnabled(true);
+    u64 skipped_before = metrics::MetricsRegistry::instance()
+                             .counters()["service.cache.skipped_records"];
+    {
+        ResultCache cache(path);
+        EXPECT_EQ(cache.recoveredRecords(), 0u);
+        EXPECT_EQ(cache.size(), 0u);
+        EXPECT_EQ(cache.droppedBytes(), 0u); // well-formed, just stale
+        CachedResult out;
+        EXPECT_FALSE(cache.lookup(0x1234, Algorithm::SpMV, &out));
+        cache.put(0x5678, Algorithm::SpMV, {"new-schedule", 0.5});
+    }
+    EXPECT_EQ(metrics::MetricsRegistry::instance()
+                  .counters()["service.cache.skipped_records"],
+              skipped_before + 1);
+    metrics::setEnabled(false);
+
+    // A current record appended after the stale one replays normally.
+    ResultCache cache(path);
+    EXPECT_EQ(cache.recoveredRecords(), 1u);
+    CachedResult out;
+    ASSERT_TRUE(cache.lookup(0x5678, Algorithm::SpMV, &out));
+    EXPECT_EQ(out.scheduleKey, "new-schedule");
     std::filesystem::remove(path);
 }
 
@@ -575,6 +650,34 @@ TEST_F(ServiceTest, CacheHitSkipsSearchAndMeasurement)
     // A different pattern does not hit.
     auto third = service.submit(testMatrix(121))->wait();
     EXPECT_EQ(third.rung, DegradationRung::FullSearch);
+}
+
+TEST_F(ServiceTest, TransposedPatternMissesTheCache)
+{
+    // A block-diagonal permutation pattern and its transpose share every
+    // summary statistic, but they are different patterns: the transpose
+    // must be searched, not served the first matrix's cached winner.
+    WacoTuner& tuner = sharedTuner();
+    TunerService service(tuner);
+    std::vector<Triplet> t;
+    for (u32 b = 0; b < 256; b += 4)
+        for (auto [r, c] : {std::pair<u32, u32>{0, 0}, {1, 2}, {2, 3},
+                            {3, 1}})
+            t.push_back({b + r, b + c, 1.f});
+    SparseMatrix a(256, 256, std::move(t));
+    SparseMatrix at = a.transposed();
+
+    auto first = service.submit(a)->wait();
+    ASSERT_EQ(first.status, ServiceStatus::Ok);
+    ASSERT_EQ(first.rung, DegradationRung::FullSearch);
+
+    auto second = service.submit(at)->wait();
+    EXPECT_EQ(second.status, ServiceStatus::Ok);
+    EXPECT_EQ(second.rung, DegradationRung::FullSearch);
+    expectValidResponse(second, at);
+
+    // The first answer is cached: repeating A itself hits.
+    EXPECT_EQ(service.submit(a)->wait().rung, DegradationRung::CacheHit);
 }
 
 TEST_F(ServiceTest, KillAndRestartRecoversCacheFromTornJournal)
