@@ -35,7 +35,7 @@ topOneRegret(WacoCostModel& model, const CostDataset& ds)
             scheds.push_back(s.schedule);
             times.push_back(s.runtime);
         }
-        auto feature = model.extractFeature(e.pattern);
+        auto feature = model.extractFeature(e.input());
         auto pred = model.predict(feature, scheds);
         u32 best_pred = 0;
         for (u32 n = 1; n < pred.rows; ++n) {

@@ -52,8 +52,7 @@ main()
         anns_q.push_back(outcome.bestMeasured.seconds);
 
         // Exhaustive: score every node, take top-10.
-        auto feature =
-            tuner->model().extractFeature(PatternInput::fromMatrix(m));
+        auto feature = tuner->model().extractFeature(m);
         auto pred = tuner->model().predict(feature, nodes);
         std::vector<u32> order(nodes.size());
         for (u32 i = 0; i < order.size(); ++i)

@@ -35,7 +35,7 @@ main(int argc, char** argv)
     auto shape = ProblemShape::forMatrix(Algorithm::SpMM, m.rows(), m.cols());
 
     // Shared cost: the learned model's prediction for this matrix.
-    auto feature = tuner->model().extractFeature(PatternInput::fromMatrix(m));
+    auto feature = tuner->model().extractFeature(m);
     u64 model_evals = 0;
     CostFn cost = [&](const SuperSchedule& s) {
         ++model_evals;

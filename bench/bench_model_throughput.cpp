@@ -95,12 +95,12 @@ main(int argc, char** argv)
 
     // Query patterns (two, so the rulebook cache is exercised across
     // alternating inputs the way alternating tuner queries exercise it).
-    std::vector<PatternInput> patterns;
+    std::vector<SparseMatrix> patterns;
     for (u64 seed : {11ull, 12ull}) {
         Rng prng(seed);
         auto m = smoke ? genUniform(128, 128, 400, prng)
                        : genUniform(2048, 2048, 12000, prng);
-        patterns.push_back(PatternInput::fromMatrix(m));
+        patterns.push_back(std::move(m));
     }
 
     const double kMinSec = smoke ? 0.02 : 0.25;

@@ -242,8 +242,8 @@ makeTrainedTuner(Algorithm alg, const MachineConfig& machine,
         }
     }
     if (!loaded) {
-        ds = is3d ? buildDataset3d(alg, trainingCorpus3d(), tuner->oracle(),
-                                   opt.schedulesPerMatrix, opt.seed)
+        ds = is3d ? buildDataset(alg, trainingCorpus3d(), tuner->oracle(),
+                                 opt.schedulesPerMatrix, opt.seed)
                   : buildDataset(alg, trainingCorpus(), tuner->oracle(),
                                  opt.schedulesPerMatrix, opt.seed);
         saveDataset(ds, ds_path);
@@ -309,7 +309,7 @@ runComparison3d(WacoTuner& tuner, const std::vector<Sparse3Tensor>& tests)
     for (const auto& t : tests) {
         MethodTimes row;
         row.matrix = t.name();
-        row.waco = tuner.tune3d(t).bestMeasured.seconds;
+        row.waco = tuner.tune(t).bestMeasured.seconds;
         row.fixed = fixedCsf(oracle, t).measured.seconds;
         row.bestformat = bf.tune(t).measured.seconds;
         rows.push_back(row);

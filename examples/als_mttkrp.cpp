@@ -75,9 +75,9 @@ main()
     copt.maxDim = 1024;
     copt.minNnz = 4000;
     copt.maxNnz = 30000;
-    tuner.train3d(makeCorpus3d(copt, 62));
+    tuner.train(makeCorpus3d(copt, 62));
 
-    auto outcome = tuner.tune3d(tensor);
+    auto outcome = tuner.tune(tensor);
     auto shape = ProblemShape::forTensor3(Algorithm::MTTKRP, di, dk, dl);
     auto fixed = tuner.oracle().measure(tensor, shape,
                                         defaultSchedule(shape));

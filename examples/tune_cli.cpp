@@ -117,8 +117,7 @@ emitSourcesTo(const std::string& dir, const SuperSchedule& s,
     LoopNest nest = lower(s, shape);
     KernelEmitOptions kopt;
     kopt.inputRowMajor = scheduleInputLayouts(s);
-    kopt.cacheKey =
-        kernelCacheKey(nest, kopt.inputRowMajor, kopt.clampSplitTails);
+    kopt.cacheKey = kernelCacheKey(nest, kopt.inputRowMajor);
     const std::string base = dir + "/" + algorithmName(s.alg);
     std::ofstream(base + "_kernel.c") << emitKernelC(nest, kopt);
     std::ofstream(base + "_taco.c") << emitC(nest, s.numThreads, s.key());

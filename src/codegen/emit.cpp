@@ -426,7 +426,7 @@ KernelEmitter::planWalk(const std::vector<LoopNode>& walk, std::size_t from,
         // iterate stored positions, not coordinates, so they keep the
         // predicate; so does a host-ranged top loop (the chunk range is
         // the caller's contract).
-        if (!opt_.clampSplitTails || dIn == to || (dOut != to && dOut > dIn))
+        if (dIn == to || (dOut != to && dOut > dIn))
             continue;
         const LoopNode& n = walk[dIn];
         bool coordLoop =

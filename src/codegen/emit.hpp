@@ -43,15 +43,6 @@ struct KernelEmitOptions
      * specialized per layout combination (part of the cache key).
      */
     std::vector<bool> inputRowMajor;
-    /**
-     * Post-emit pass 1 (vector-tail predicate removal): when the
-     * later-binding half of a split index is a dense/U loop, clamp that
-     * loop's trip count to min(split, extent - outer*split) instead of
-     * guarding every leaf visit — full-width iterations for all but the
-     * ragged last block, no per-iteration predicate. Indices the pass
-     * cannot prove clampable keep the interpreter-equivalent leaf guard.
-     */
-    bool clampSplitTails = true;
     /** Echoed into the generated header comment for provenance. */
     std::string cacheKey;
 };
@@ -72,11 +63,14 @@ struct KernelEmitOptions
  *
  * Unlike emitC (the pretty-printer, kept verbatim for readability and
  * its golden tests), this emitter applies two DietCode-style post-emit
- * passes: split-tail predicate removal (KernelEmitOptions::
- * clampSplitTails) and workspace hoisting — the fused nests' `float
- * w[J]` VLA becomes the caller-provided heap @p scratch parameter,
- * zero-initialized per scope iteration exactly like the interpreter's
- * per-chunk private workspace.
+ * passes. Split-tail predicate removal: when the later-binding half of a
+ * split index is a dense/U loop, that loop's trip count is clamped to
+ * min(split, extent - outer*split) instead of guarding every leaf visit;
+ * indices the pass cannot prove clampable keep the interpreter-equivalent
+ * leaf guard. Workspace hoisting: the fused nests' `float w[J]` VLA
+ * becomes the caller-provided heap @p scratch parameter, zero-initialized
+ * per scope iteration exactly like the interpreter's per-chunk private
+ * workspace.
  */
 std::string emitKernelC(const LoopNest& nest,
                         const KernelEmitOptions& opt = {});

@@ -183,8 +183,7 @@ CompiledBackend::kernelFor(const LoopNest& nest,
 {
     if (nest.numLevels() > kMaxAbiLevels)
         return nullptr; // cannot be expressed in the fixed ABI
-    const std::string key =
-        kernelCacheKey(nest, inputRowMajor, opt_.clampSplitTails);
+    const std::string key = kernelCacheKey(nest, inputRowMajor);
     if (auto k = cache_.get(key)) {
         std::lock_guard<std::mutex> slock(statsMu_);
         ++stats_.cacheHits;
@@ -209,7 +208,6 @@ CompiledBackend::kernelFor(const LoopNest& nest,
     WACO_SPAN("codegen.compile");
     KernelEmitOptions eo;
     eo.inputRowMajor = inputRowMajor;
-    eo.clampSplitTails = opt_.clampSplitTails;
     eo.cacheKey = key;
     const std::string source = emitKernelC(nest, eo);
 
@@ -232,8 +230,7 @@ CompiledBackend::kernelFor(const LoopNest& nest,
         ++consecutiveFailures_;
         std::remove(so.c_str());
         std::remove(log.c_str());
-        if (!opt_.keepArtifacts)
-            std::remove(src.c_str());
+        std::remove(src.c_str());
         {
             std::lock_guard<std::mutex> slock(statsMu_);
             ++stats_.compileFailures;
@@ -268,8 +265,7 @@ CompiledBackend::kernelFor(const LoopNest& nest,
     }
     WACO_COUNT("codegen.compiles", 1);
     auto kernel = std::make_shared<CompiledKernel>(
-        handle, reinterpret_cast<WacoKernelFn>(sym), so, src,
-        opt_.keepArtifacts);
+        handle, reinterpret_cast<WacoKernelFn>(sym), so, src);
     cache_.put(key, kernel);
     return kernel;
 }
@@ -396,8 +392,7 @@ CompiledBackend::lastError() const
 }
 
 std::string
-kernelCacheKey(const LoopNest& nest, const std::vector<bool>& inputRowMajor,
-               bool clampSplitTails)
+kernelCacheKey(const LoopNest& nest, const std::vector<bool>& inputRowMajor)
 {
     std::ostringstream os;
     os << algorithmName(nest.alg()) << "|e";
@@ -434,7 +429,6 @@ kernelCacheKey(const LoopNest& nest, const std::vector<bool>& inputRowMajor,
     os << "|v" << nest.leaf().vectorIndex;
     if (nest.fused())
         os << "," << nest.consumerLeaf().vectorIndex;
-    os << "|p" << (clampSplitTails ? 1 : 0);
     return os.str();
 }
 

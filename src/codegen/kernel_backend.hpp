@@ -76,10 +76,6 @@ struct CompiledBackendOptions
     std::size_t cacheCapacity = 64;
     /** Quarantine the compiler after this many consecutive failures. */
     u32 maxConsecutiveFailures = 3;
-    /** Keep .c/.so artifacts on disk after kernels are released. */
-    bool keepArtifacts = false;
-    /** Forwarded to KernelEmitOptions::clampSplitTails. */
-    bool clampSplitTails = true;
 };
 
 /** Monotonic counters of one CompiledBackend (best-effort snapshot). */
@@ -145,16 +141,14 @@ class CompiledBackend final : public KernelBackend
 /**
  * Structural cache key of a lowered nest: algorithm, shape extents,
  * splits, level formats/order, every loop node with its locates, the
- * consumer walk and workspace of fused nests, the dense input layouts,
- * and the emitter pass configuration. Schedules with equal
- * canonicalKey() lower to structurally identical nests, so this is the
- * compiled-code identity of (algorithm, canonicalKey(schedule),
- * shape-class, layouts) — including nests assembled via fromRaw that
- * never had a schedule.
+ * consumer walk and workspace of fused nests, and the dense input
+ * layouts. Schedules with equal canonicalKey() lower to structurally
+ * identical nests, so this is the compiled-code identity of (algorithm,
+ * canonicalKey(schedule), shape-class, layouts) — including nests
+ * assembled via fromRaw that never had a schedule.
  */
 std::string kernelCacheKey(const LoopNest& nest,
-                           const std::vector<bool>& inputRowMajor,
-                           bool clampSplitTails);
+                           const std::vector<bool>& inputRowMajor);
 
 /** Row-major flags of the dense input operands actually passed in
  *  @p args, in KernelEmitOptions::inputRowMajor order. */

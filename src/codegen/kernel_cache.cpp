@@ -9,10 +9,9 @@
 namespace waco {
 
 CompiledKernel::CompiledKernel(void* handle, WacoKernelFn fn,
-                               std::string soPath, std::string srcPath,
-                               bool keepArtifacts)
+                               std::string soPath, std::string srcPath)
     : handle_(handle), fn_(fn), soPath_(std::move(soPath)),
-      srcPath_(std::move(srcPath)), keepArtifacts_(keepArtifacts)
+      srcPath_(std::move(srcPath))
 {
 }
 
@@ -20,18 +19,16 @@ CompiledKernel::~CompiledKernel()
 {
     if (handle_ != nullptr)
         dlclose(handle_);
-    if (!keepArtifacts_) {
-        if (!soPath_.empty())
-            std::remove(soPath_.c_str());
-        if (!srcPath_.empty())
-            std::remove(srcPath_.c_str());
-    }
+    if (!soPath_.empty())
+        std::remove(soPath_.c_str());
+    if (!srcPath_.empty())
+        std::remove(srcPath_.c_str());
 }
 
 std::shared_ptr<CompiledKernel>
 CompiledKernel::forTesting(WacoKernelFn fn)
 {
-    return std::make_shared<CompiledKernel>(nullptr, fn, "", "", true);
+    return std::make_shared<CompiledKernel>(nullptr, fn, "", "");
 }
 
 KernelCache::KernelCache(std::size_t capacity) : capacity_(capacity) {}

@@ -67,7 +67,7 @@ class CompiledKernel
 {
   public:
     CompiledKernel(void* handle, WacoKernelFn fn, std::string soPath,
-                   std::string srcPath, bool keepArtifacts);
+                   std::string srcPath);
     ~CompiledKernel();
 
     CompiledKernel(const CompiledKernel&) = delete;
@@ -85,7 +85,6 @@ class CompiledKernel
     WacoKernelFn fn_ = nullptr;
     std::string soPath_;
     std::string srcPath_;
-    bool keepArtifacts_ = false;
 };
 
 /** Monotonic counters of one KernelCache (snapshot, not synchronized

@@ -46,8 +46,7 @@ sampleEntry(DatasetEntry& e, Algorithm alg, const MeasurementBackend& oracle,
         }
         Measurement m;
         try {
-            m = e.is3d ? oracle.measure(e.tensor, e.shape, s)
-                       : oracle.measure(e.matrix, e.shape, s);
+            m = oracle.measure(e.input(), e.shape, s);
         } catch (const MeasurementError&) {
             // A transient backend failure drops this schedule, never the
             // labeling run (wrap the backend in a RobustMeasurer to retry
@@ -70,7 +69,8 @@ sampleEntry(DatasetEntry& e, Algorithm alg, const MeasurementBackend& oracle,
         s24.numThreads = 24;
         add(s24);
     }
-    if (!e.is3d) {
+    // The classic format families (CSR, CSC, BCSR, ...) are matrix formats.
+    if (algorithmInfo(alg).sparseOrder == 2) {
         for (const auto& s : wellKnownFormatSchedules(e.shape)) {
             add(s);
             auto fine = s;
@@ -87,6 +87,61 @@ sampleEntry(DatasetEntry& e, Algorithm alg, const MeasurementBackend& oracle,
         ++attempts;
         add(space.sample(rng));
     }
+}
+
+void
+own(DatasetEntry& e, const SparseMatrix& m)
+{
+    e.matrix = m;
+}
+
+void
+own(DatasetEntry& e, const Sparse3Tensor& t)
+{
+    e.is3d = true;
+    e.tensor = t;
+}
+
+/** Copy one corpus item into a fresh entry and label it. */
+template <typename Input>
+DatasetEntry
+labelEntry(Algorithm alg, const Input& x, const MeasurementBackend& oracle,
+           u32 schedules_per_matrix, Rng& rng)
+{
+    DatasetEntry e;
+    own(e, x);
+    e.name = x.name();
+    e.shape = ProblemShape::forInput(alg, e.input());
+    sampleEntry(e, alg, oracle, schedules_per_matrix, rng);
+    return e;
+}
+
+/** Append @p e unless it has too few valid labels to rank. */
+void
+keepEntry(std::vector<DatasetEntry>& entries, DatasetEntry&& e)
+{
+    if (e.samples.size() >= 2)
+        entries.push_back(std::move(e));
+    else
+        logWarn("dropping input with too few valid schedules: " + e.name);
+}
+
+/** The one labeling loop behind both buildDataset overloads. */
+template <typename Input>
+CostDataset
+labelCorpus(Algorithm alg, const std::vector<Input>& corpus,
+            const MeasurementBackend& oracle, u32 schedules_per_matrix,
+            u64 seed)
+{
+    Rng rng(seed);
+    CostDataset ds;
+    ds.alg = alg;
+    for (const auto& x : corpus)
+        keepEntry(ds.entries,
+                  labelEntry(alg, x, oracle, schedules_per_matrix, rng));
+    fatalIf(ds.entries.empty(), "dataset has no usable entries");
+    splitTrainVal(ds, rng);
+    return ds;
 }
 
 } // namespace
@@ -110,52 +165,15 @@ buildDataset(Algorithm alg, const std::vector<SparseMatrix>& corpus,
              const MeasurementBackend& oracle, u32 schedules_per_matrix,
              u64 seed)
 {
-    fatalIf(algorithmInfo(alg).sparseOrder != 2,
-            "buildDataset requires a matrix algorithm");
-    Rng rng(seed);
-    CostDataset ds;
-    ds.alg = alg;
-    for (const auto& m : corpus) {
-        DatasetEntry e;
-        e.name = m.name();
-        e.matrix = m;
-        e.shape = ProblemShape::forMatrix(alg, m.rows(), m.cols());
-        e.pattern = PatternInput::fromMatrix(m);
-        sampleEntry(e, alg, oracle, schedules_per_matrix, rng);
-        if (e.samples.size() >= 2)
-            ds.entries.push_back(std::move(e));
-        else
-            logWarn("dropping matrix with too few valid schedules: " + m.name());
-    }
-    fatalIf(ds.entries.empty(), "dataset has no usable entries");
-    splitTrainVal(ds, rng);
-    return ds;
+    return labelCorpus(alg, corpus, oracle, schedules_per_matrix, seed);
 }
 
 CostDataset
-buildDataset3d(Algorithm alg, const std::vector<Sparse3Tensor>& corpus,
-               const MeasurementBackend& oracle, u32 schedules_per_matrix,
-               u64 seed)
+buildDataset(Algorithm alg, const std::vector<Sparse3Tensor>& corpus,
+             const MeasurementBackend& oracle, u32 schedules_per_matrix,
+             u64 seed)
 {
-    fatalIf(algorithmInfo(alg).sparseOrder != 3,
-            "buildDataset3d requires a 3D algorithm");
-    Rng rng(seed);
-    CostDataset ds;
-    ds.alg = alg;
-    for (const auto& t : corpus) {
-        DatasetEntry e;
-        e.name = t.name();
-        e.is3d = true;
-        e.tensor = t;
-        e.shape = ProblemShape::forTensor3(alg, t.dimI(), t.dimK(), t.dimL());
-        e.pattern = PatternInput::fromTensor3(t);
-        sampleEntry(e, alg, oracle, schedules_per_matrix, rng);
-        if (e.samples.size() >= 2)
-            ds.entries.push_back(std::move(e));
-    }
-    fatalIf(ds.entries.empty(), "dataset has no usable entries");
-    splitTrainVal(ds, rng);
-    return ds;
+    return labelCorpus(alg, corpus, oracle, schedules_per_matrix, seed);
 }
 
 namespace {
@@ -220,22 +238,13 @@ buildDatasetResumable(Algorithm alg, const std::vector<SparseMatrix>& corpus,
             "labeling checkpoint covers more items than the corpus");
 
     for (u32 i = ckpt.completed; i < corpus.size(); ++i) {
-        const auto& m = corpus[i];
         // Independent per-item seed: the labels of item i do not depend on
         // how many items ran before it in this process, which is what
         // makes interrupted-and-resumed runs bit-identical.
         Rng rng(mixSeed(opt.seed, i));
-        DatasetEntry e;
-        e.name = m.name();
-        e.matrix = m;
-        e.shape = ProblemShape::forMatrix(alg, m.rows(), m.cols());
-        e.pattern = PatternInput::fromMatrix(m);
-        sampleEntry(e, alg, oracle, opt.schedulesPerMatrix, rng);
-        if (e.samples.size() >= 2)
-            ckpt.partial.entries.push_back(std::move(e));
-        else
-            logWarn("dropping matrix with too few valid schedules: " +
-                    m.name());
+        keepEntry(ckpt.partial.entries,
+                  labelEntry(alg, corpus[i], oracle, opt.schedulesPerMatrix,
+                             rng));
         ckpt.completed = i + 1;
         bool flush_due = (i + 1) % opt.flushEvery == 0;
         if (!opt.checkpointPath.empty() &&

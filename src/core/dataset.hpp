@@ -5,14 +5,15 @@
  * the (Sparse Matrix, SuperSchedule, Ground Truth Runtime) tuples of
  * Figure 1a. Schedules whose formats blow the storage budget are excluded,
  * mirroring the paper's exclusion of >1-minute configurations. Entries are
- * split 80:20 into train and validation sets.
+ * split 80:20 into train and validation sets. Matrix and 3-tensor corpora
+ * share one labeling loop: an entry owns its matrix or tensor and hands it
+ * on as a SparseInput (DatasetEntry::input()).
  */
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "model/feature_extractor.hpp"
 #include "perfmodel/cost_model.hpp"
 
 namespace waco {
@@ -32,8 +33,16 @@ struct DatasetEntry
     SparseMatrix matrix;     ///< Valid when !is3d.
     Sparse3Tensor tensor;    ///< Valid when is3d.
     ProblemShape shape;
-    PatternInput pattern;
     std::vector<ScheduleSample> samples;
+
+    /** The owned matrix or tensor, whichever this entry holds. */
+    SparseInput
+    input() const
+    {
+        if (is3d)
+            return tensor;
+        return matrix;
+    }
 };
 
 /** A full cost-model training set for one algorithm. */
@@ -48,18 +57,19 @@ struct CostDataset
     std::vector<SuperSchedule> allSchedules() const;
 };
 
-/** Label a 2D corpus (SpMV / SpMM / SDDMM). Transient measurement
- *  failures (MeasurementError) and invalid results skip that schedule. */
+/** Label a corpus of matrices (SpMV / SpMM / SDDMM / fused). Transient
+ *  measurement failures (MeasurementError) and invalid results skip that
+ *  schedule; an input left with fewer than two labels is dropped. */
 CostDataset buildDataset(Algorithm alg,
                          const std::vector<SparseMatrix>& corpus,
                          const MeasurementBackend& oracle,
                          u32 schedules_per_matrix, u64 seed);
 
-/** Label a 3D corpus (MTTKRP). */
-CostDataset buildDataset3d(Algorithm alg,
-                           const std::vector<Sparse3Tensor>& corpus,
-                           const MeasurementBackend& oracle,
-                           u32 schedules_per_matrix, u64 seed);
+/** Label a corpus of 3-tensors (MTTKRP); the same labeling loop. */
+CostDataset buildDataset(Algorithm alg,
+                         const std::vector<Sparse3Tensor>& corpus,
+                         const MeasurementBackend& oracle,
+                         u32 schedules_per_matrix, u64 seed);
 
 /** Knobs of the fault-tolerant, checkpointed labeling pass. */
 struct LabelingOptions

@@ -116,8 +116,6 @@ readEntry(std::istream& in, Algorithm alg)
         for (std::size_t x = 0; x < is.size(); ++x)
             q[x] = {is[x], ks[x], ls[x], vs[x]};
         e.tensor = Sparse3Tensor(di, dk, dl, std::move(q), e.name);
-        e.shape = ProblemShape::forTensor3(alg, di, dk, dl);
-        e.pattern = PatternInput::fromTensor3(e.tensor);
     } else {
         u32 rows = readPod<u32>(in);
         u32 cols = readPod<u32>(in);
@@ -128,9 +126,8 @@ readEntry(std::istream& in, Algorithm alg)
         for (std::size_t x = 0; x < ri.size(); ++x)
             t[x] = {ri[x], ci[x], vs[x]};
         e.matrix = SparseMatrix(rows, cols, std::move(t), e.name);
-        e.shape = ProblemShape::forMatrix(alg, rows, cols);
-        e.pattern = PatternInput::fromMatrix(e.matrix);
     }
+    e.shape = ProblemShape::forInput(alg, e.input());
     u64 n_samples = readPod<u64>(in);
     fatalIf(n_samples > (1u << 24), "implausible sample count");
     for (u64 x = 0; x < n_samples; ++x) {

@@ -66,7 +66,7 @@ trainCostModel(WacoCostModel& model, const CostDataset& dataset,
         for (u32 id : order) {
             drawBatch(dataset.entries[id], opt.batchSchedules, rng, schedules,
                       runtimes);
-            auto step = model.trainStepGuarded(dataset.entries[id].pattern,
+            auto step = model.trainStepGuarded(dataset.entries[id].input(),
                                                schedules, runtimes, opt.useL2,
                                                opt.clipNorm);
             if (step.applied) {
@@ -88,9 +88,9 @@ trainCostModel(WacoCostModel& model, const CostDataset& dataset,
         for (u32 id : dataset.valIds) {
             drawBatch(dataset.entries[id], opt.batchSchedules, val_rng,
                       schedules, runtimes);
-            val_loss += model.evalLoss(dataset.entries[id].pattern, schedules,
+            val_loss += model.evalLoss(dataset.entries[id].input(), schedules,
                                        runtimes, opt.useL2);
-            val_acc += model.evalOrderAccuracy(dataset.entries[id].pattern,
+            val_acc += model.evalOrderAccuracy(dataset.entries[id].input(),
                                                schedules, runtimes);
         }
         if (!dataset.valIds.empty()) {

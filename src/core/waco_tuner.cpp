@@ -27,11 +27,12 @@ WacoTuner::WacoTuner(Algorithm alg, MachineConfig machine, WacoOptions opt)
     globalPool().ensureWorkers(std::min(hw > 1 ? hw - 1 : 0, 8u));
 }
 
+template <typename Input>
 std::vector<EpochStats>
-WacoTuner::train(const std::vector<SparseMatrix>& corpus)
+WacoTuner::labelAndFit(const std::vector<Input>& corpus)
 {
     logInfo("building " + algorithmName(alg_) + " dataset from " +
-            std::to_string(corpus.size()) + " matrices");
+            std::to_string(corpus.size()) + " inputs");
     RobustMeasurer robust(backend(), opt_.retry);
     {
         WACO_SPAN("train.label");
@@ -42,15 +43,15 @@ WacoTuner::train(const std::vector<SparseMatrix>& corpus)
 }
 
 std::vector<EpochStats>
-WacoTuner::train3d(const std::vector<Sparse3Tensor>& corpus)
+WacoTuner::train(const std::vector<SparseMatrix>& corpus)
 {
-    RobustMeasurer robust(backend(), opt_.retry);
-    {
-        WACO_SPAN("train.label");
-        dataset_ = buildDataset3d(alg_, corpus, robust,
-                                  opt_.schedulesPerMatrix, opt_.seed);
-    }
-    return trainOnDataset(dataset_);
+    return labelAndFit(corpus);
+}
+
+std::vector<EpochStats>
+WacoTuner::train(const std::vector<Sparse3Tensor>& corpus)
+{
+    return labelAndFit(corpus);
 }
 
 std::vector<EpochStats>
@@ -132,14 +133,13 @@ WacoTuner::buildGraph()
 }
 
 TuneOutcome
-WacoTuner::tuneImpl(
-    const PatternInput& pattern, const ProblemShape& shape,
-    const std::function<Measurement(const SuperSchedule&)>& measure,
-    const TuneControl& ctl)
+WacoTuner::tune(const SparseInput& in, const TuneControl& ctl)
 {
     fatalIf(!graph_, "WacoTuner::tune called before train()");
     WACO_SPAN("tune");
     WACO_COUNT("tune.calls", 1);
+    const ProblemShape shape = ProblemShape::forInput(alg_, in);
+    RobustMeasurer robust(backend(), opt_.retry);
     TuneOutcome out;
 
     // Cooperative cancellation poll: token (deadline or client cancel)
@@ -156,7 +156,7 @@ WacoTuner::tuneImpl(
     nn::Mat feature;
     {
         WACO_SPAN("tune.extract");
-        feature = model_->extractFeature(pattern);
+        feature = model_->extractFeature(in);
     }
     out.featureSeconds = feature_timer.seconds();
     // An expired deadline here means no candidate exists yet: nothing to
@@ -230,7 +230,7 @@ WacoTuner::tuneImpl(
     if (ctl.skipMeasure) {
         pick_by_model();
         out.convertSeconds = oracle_.conversionSeconds(
-            pattern.coords.size(), out.bestMeasured.storedValues);
+            in.nnz(), out.bestMeasured.storedValues);
         return out;
     }
 
@@ -323,11 +323,11 @@ WacoTuner::tuneImpl(
                     WACO_COUNT("analysis.measurements_reused", 1);
                     m = it->second;
                 } else {
-                    m = measure(s);
+                    m = robust.measure(in, shape, s);
                     measured.emplace(std::move(ck), m);
                 }
             } else {
-                m = measure(s);
+                m = robust.measure(in, shape, s);
             }
             out.topK.push_back(s);
             out.topKMeasured.push_back(m);
@@ -351,7 +351,7 @@ WacoTuner::tuneImpl(
                 out.fellBack = true;
                 WACO_COUNT("tune.fallbacks", 1);
                 out.best = defaultSchedule(shape);
-                out.bestMeasured = measure(out.best);
+                out.bestMeasured = robust.measure(in, shape, out.best);
                 logWarn("all top-" + std::to_string(out.topK.size()) +
                         " remeasurements invalid; falling back to the "
                         "default CSR schedule");
@@ -359,32 +359,7 @@ WacoTuner::tuneImpl(
         }
     }
     out.convertSeconds = oracle_.conversionSeconds(
-        pattern.coords.size(), out.bestMeasured.storedValues);
-    return out;
-}
-
-TuneOutcome
-WacoTuner::tune(const SparseMatrix& m, const TuneControl& ctl)
-{
-    auto shape = ProblemShape::forMatrix(alg_, m.rows(), m.cols());
-    auto pattern = PatternInput::fromMatrix(m);
-    RobustMeasurer robust(backend(), opt_.retry);
-    auto out = tuneImpl(pattern, shape, [&](const SuperSchedule& s) {
-        return robust.measure(m, shape, s);
-    }, ctl);
-    out.remeasureStats = robust.stats();
-    return out;
-}
-
-TuneOutcome
-WacoTuner::tune3d(const Sparse3Tensor& t, const TuneControl& ctl)
-{
-    auto shape = ProblemShape::forTensor3(alg_, t.dimI(), t.dimK(), t.dimL());
-    auto pattern = PatternInput::fromTensor3(t);
-    RobustMeasurer robust(backend(), opt_.retry);
-    auto out = tuneImpl(pattern, shape, [&](const SuperSchedule& s) {
-        return robust.measure(t, shape, s);
-    }, ctl);
+        in.nnz(), out.bestMeasured.storedValues);
     out.remeasureStats = robust.stats();
     return out;
 }

@@ -7,11 +7,14 @@
  *      model (WACONet + program embedder + predictor, ranking loss).
  *  (b) buildGraph(): embed every training SuperSchedule and build the HNSW
  *      KNN graph over the program embeddings (l2 metric).
- *  (c) tune(): for a new matrix, extract the sparsity feature once, walk
- *      the graph under the predicted-cost metric (ANNS), re-measure the
- *      top-k candidates on the "hardware" (oracle), and return the winner —
- *      exactly the paper's evaluation protocol (Section 5.2 reports the
- *      fastest of the top-10).
+ *  (c) tune(): for a new matrix or 3-tensor, extract the sparsity feature
+ *      once, walk the graph under the predicted-cost metric (ANNS),
+ *      re-measure the top-k candidates on the "hardware" (oracle), and
+ *      return the winner — exactly the paper's evaluation protocol
+ *      (Section 5.2 reports the fastest of the top-10).
+ *
+ * Every stage takes the input as one SparseInput, so a matrix and a
+ * 3-tensor run the same code from labeling to the top-k remeasurement.
  */
 #pragma once
 
@@ -168,11 +171,12 @@ class WacoTuner
         return backend_ ? *backend_ : oracle_;
     }
 
-    /** Build dataset from a 2D corpus, train the model, build the graph. */
+    /** Build dataset from a corpus of matrices, train the model, build
+     *  the graph. */
     std::vector<EpochStats> train(const std::vector<SparseMatrix>& corpus);
 
-    /** Same for a 3D corpus (MTTKRP). */
-    std::vector<EpochStats> train3d(const std::vector<Sparse3Tensor>& corpus);
+    /** Same for a corpus of 3-tensors (MTTKRP). */
+    std::vector<EpochStats> train(const std::vector<Sparse3Tensor>& corpus);
 
     /** Train on a pre-built dataset (lets benches share datasets). */
     std::vector<EpochStats> trainOnDataset(const CostDataset& dataset);
@@ -185,17 +189,10 @@ class WacoTuner
      */
     void attachDataset(const CostDataset& dataset);
 
-    /** Co-optimize the format and schedule for a new matrix. */
-    TuneOutcome tune(const SparseMatrix& m) { return tune(m, {}); }
-
-    /** tune() with cancellation/degradation controls (see TuneControl). */
-    TuneOutcome tune(const SparseMatrix& m, const TuneControl& ctl);
-
-    /** Co-optimize for a new 3D tensor. */
-    TuneOutcome tune3d(const Sparse3Tensor& t) { return tune3d(t, {}); }
-
-    /** tune3d() with cancellation/degradation controls. */
-    TuneOutcome tune3d(const Sparse3Tensor& t, const TuneControl& ctl);
+    /** Co-optimize the format and schedule for a new matrix or 3-tensor
+     *  (its order must match the algorithm's), with optional
+     *  cancellation/degradation controls (see TuneControl). */
+    TuneOutcome tune(const SparseInput& in, const TuneControl& ctl = {});
 
     /** Schedules indexed by the KNN graph (exposed for benches/tests). */
     const std::vector<SuperSchedule>& graphSchedules() const { return nodes_; }
@@ -212,11 +209,8 @@ class WacoTuner
 
   private:
     void buildGraph();
-    TuneOutcome tuneImpl(const PatternInput& pattern,
-                         const ProblemShape& shape,
-                         const std::function<Measurement(
-                             const SuperSchedule&)>& measure,
-                         const TuneControl& ctl);
+    template <typename Input>
+    std::vector<EpochStats> labelAndFit(const std::vector<Input>& corpus);
 
     Algorithm alg_;
     RuntimeOracle oracle_;

@@ -158,15 +158,24 @@ SuperSchedule::describe() const
     return os.str();
 }
 
+namespace {
+
+/** The one body behind every ProblemShape factory: sparse dims fill the
+ *  algorithm's sparse indices, dense-only indices take @p dense_extent
+ *  (0 = the algorithm default). */
 ProblemShape
-ProblemShape::forMatrix(Algorithm alg, u32 rows, u32 cols, u32 dense_extent)
+shapeOf(Algorithm alg, u32 order, const std::array<u32, 3>& dims,
+        u32 dense_extent)
 {
     const auto& info = algorithmInfo(alg);
-    fatalIf(info.sparseOrder != 2, "forMatrix on a non-matrix algorithm");
+    fatalIf(info.sparseOrder != order,
+            "order-" + std::to_string(order) + " input for " +
+                algorithmName(alg) + ", which takes order " +
+                std::to_string(info.sparseOrder));
     ProblemShape shape;
     shape.alg = alg;
-    shape.indexExtent[info.indexOfSparseDim(0)] = rows;
-    shape.indexExtent[info.indexOfSparseDim(1)] = cols;
+    for (u32 d = 0; d < order; ++d)
+        shape.indexExtent[info.indexOfSparseDim(d)] = dims[d];
     for (u32 idx = 0; idx < info.numIndices; ++idx) {
         if (info.sparseDim[idx] < 0) {
             shape.indexExtent[idx] =
@@ -176,24 +185,25 @@ ProblemShape::forMatrix(Algorithm alg, u32 rows, u32 cols, u32 dense_extent)
     return shape;
 }
 
+} // namespace
+
+ProblemShape
+ProblemShape::forInput(Algorithm alg, const SparseInput& in, u32 dense_extent)
+{
+    return shapeOf(alg, in.order(), in.dims(), dense_extent);
+}
+
+ProblemShape
+ProblemShape::forMatrix(Algorithm alg, u32 rows, u32 cols, u32 dense_extent)
+{
+    return shapeOf(alg, 2, {rows, cols, 0}, dense_extent);
+}
+
 ProblemShape
 ProblemShape::forTensor3(Algorithm alg, u32 di, u32 dk, u32 dl,
                          u32 dense_extent)
 {
-    const auto& info = algorithmInfo(alg);
-    fatalIf(info.sparseOrder != 3, "forTensor3 on a non-3D algorithm");
-    ProblemShape shape;
-    shape.alg = alg;
-    shape.indexExtent[info.indexOfSparseDim(0)] = di;
-    shape.indexExtent[info.indexOfSparseDim(1)] = dk;
-    shape.indexExtent[info.indexOfSparseDim(2)] = dl;
-    for (u32 idx = 0; idx < info.numIndices; ++idx) {
-        if (info.sparseDim[idx] < 0) {
-            shape.indexExtent[idx] =
-                dense_extent ? dense_extent : info.denseExtent[idx];
-        }
-    }
-    return shape;
+    return shapeOf(alg, 3, {di, dk, dl}, dense_extent);
 }
 
 u32

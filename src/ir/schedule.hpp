@@ -84,6 +84,9 @@ struct ProblemShape
     Algorithm alg = Algorithm::SpMV;
     std::array<u32, 4> indexExtent = {0, 0, 0, 0};
 
+    /** Shape for a sparse input whose order matches the algorithm's. */
+    static ProblemShape forInput(Algorithm alg, const SparseInput& in,
+                                 u32 dense_extent = 0);
     /** Shape for a 2D sparse input (SpMV / SpMM / SDDMM). */
     static ProblemShape forMatrix(Algorithm alg, u32 rows, u32 cols,
                                   u32 dense_extent = 0);

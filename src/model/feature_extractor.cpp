@@ -15,36 +15,20 @@ using nn::SparseConv;
 using nn::SparseMap;
 using nn::SparseReLU;
 
-PatternInput
-PatternInput::fromMatrix(const SparseMatrix& m)
-{
-    PatternInput in;
-    in.dim = 2;
-    in.shape = {m.rows(), m.cols(), 0};
-    in.coords.reserve(m.nnz());
-    for (u64 n = 0; n < m.nnz(); ++n) {
-        in.coords.push_back({static_cast<i32>(m.rowIndices()[n]),
-                             static_cast<i32>(m.colIndices()[n]), 0});
-    }
-    return in;
-}
-
-PatternInput
-PatternInput::fromTensor3(const Sparse3Tensor& t)
-{
-    PatternInput in;
-    in.dim = 3;
-    in.shape = t.dims();
-    in.coords.reserve(t.nnz());
-    for (u64 n = 0; n < t.nnz(); ++n) {
-        in.coords.push_back({static_cast<i32>(t.iIndices()[n]),
-                             static_cast<i32>(t.kIndices()[n]),
-                             static_cast<i32>(t.lIndices()[n])});
-    }
-    return in;
-}
-
 namespace {
+
+/** Conv-site coordinates of every stored nonzero of @p in. */
+std::vector<std::array<i32, 3>>
+siteCoords(const SparseInput& in)
+{
+    std::vector<std::array<i32, 3>> coords(in.nnz());
+    for (u64 n = 0; n < in.nnz(); ++n) {
+        auto c = in.coord(n);
+        coords[n] = {static_cast<i32>(c[0]), static_cast<i32>(c[1]),
+                     static_cast<i32>(c[2])};
+    }
+    return coords;
+}
 
 /**
  * WACONet (Figure 9): one 5x5 stride-1 submanifold layer then strided 3x3
@@ -68,16 +52,16 @@ class WacoNet final : public FeatureExtractor
     }
 
     Mat
-    forward(const PatternInput& in) override
+    forward(const SparseInput& in) override
     {
         SparseMap map;
         map.dim = dim_;
-        map.coords = in.coords;
+        map.coords = siteCoords(in);
         map.feats = Mat(map.numSites(), 1, 1.0f);
         // The rulebook chain depends only on the coordinates, so repeated
         // forwards over one pattern (training epochs, tuner queries) reuse
         // the cached gather geometry across every layer.
-        const auto& chain = rulebooks_.chain(in.coords, convs_);
+        const auto& chain = rulebooks_.chain(map.coords, convs_);
         Mat concat(1, cfg_.numLayers * cfg_.channels);
         site_counts_.clear();
         for (u32 l = 0; l < cfg_.numLayers; ++l) {
@@ -157,13 +141,13 @@ class MinkowskiNetExtractor final : public FeatureExtractor
     }
 
     Mat
-    forward(const PatternInput& in) override
+    forward(const SparseInput& in) override
     {
         SparseMap map;
         map.dim = dim_;
-        map.coords = in.coords;
+        map.coords = siteCoords(in);
         map.feats = Mat(map.numSites(), 1, 1.0f);
-        const auto& chain = rulebooks_.chain(in.coords, convs_);
+        const auto& chain = rulebooks_.chain(map.coords, convs_);
         for (std::size_t l = 0; l < convs_.size(); ++l) {
             map = convs_[l].forward(map, chain[l]);
             map = relus_[l].forward(map);
@@ -226,17 +210,18 @@ class DenseConvExtractor final : public FeatureExtractor
     }
 
     Mat
-    forward(const PatternInput& in) override
+    forward(const SparseInput& in) override
     {
         // Downsample: count nonzeros per grid cell (all cells active ->
         // the sparse machinery degenerates to a dense convolution).
         u32 g = dim_ == 2 ? kGrid : 16;
         std::unordered_map<u64, float> counts;
-        for (const auto& c : in.coords) {
+        for (u64 n = 0; n < in.nnz(); ++n) {
+            auto c = in.coord(n);
             u64 key = 0;
             for (u32 d = 0; d < dim_; ++d) {
                 u64 cell = static_cast<u64>(c[d]) * g /
-                           std::max<u32>(1, in.shape[d]);
+                           std::max<u32>(1, in.dims()[d]);
                 key = key * g + cell;
             }
             counts[key] += 1.0f;
@@ -313,12 +298,12 @@ class HumanFeatureExtractor final : public FeatureExtractor
     {}
 
     Mat
-    forward(const PatternInput& in) override
+    forward(const SparseInput& in) override
     {
         Mat x(1, 3);
-        x.at(0, 0) = std::log1p(static_cast<float>(in.shape[0]));
-        x.at(0, 1) = std::log1p(static_cast<float>(in.shape[dim_ - 1]));
-        x.at(0, 2) = std::log1p(static_cast<float>(in.coords.size()));
+        x.at(0, 0) = std::log1p(static_cast<float>(in.dims()[0]));
+        x.at(0, 1) = std::log1p(static_cast<float>(in.dims()[dim_ - 1]));
+        x.at(0, 2) = std::log1p(static_cast<float>(in.nnz()));
         return head_.forward(x);
     }
 

@@ -15,8 +15,10 @@
  *                     counts, then a conventional CNN [48].
  *  - HumanFeature   — (#rows, #cols, #nnz) through an MLP [27, 40].
  *
- * All extractors output a fixed-width feature row so the rest of the cost
- * model is extractor-agnostic.
+ * All extractors read a matrix or a 3-tensor through the same SparseInput
+ * view (the extractor's own dimensionality must match the input's order)
+ * and output a fixed-width feature row, so the rest of the cost model is
+ * extractor-agnostic.
  */
 #pragma once
 
@@ -29,25 +31,15 @@
 
 namespace waco {
 
-/** Extractor-agnostic view of a sparsity pattern. */
-struct PatternInput
-{
-    u32 dim = 2;                             ///< 2 for matrices, 3 for tensors.
-    std::array<u32, 3> shape = {0, 0, 0};    ///< Dimension sizes.
-    std::vector<std::array<i32, 3>> coords;  ///< Nonzero coordinates.
-
-    static PatternInput fromMatrix(const SparseMatrix& m);
-    static PatternInput fromTensor3(const Sparse3Tensor& t);
-};
-
 /** Interface all four extractors implement. */
 class FeatureExtractor
 {
   public:
     virtual ~FeatureExtractor() = default;
 
-    /** Feature row [1 x featureDim()] for a pattern; caches for backward. */
-    virtual nn::Mat forward(const PatternInput& in) = 0;
+    /** Feature row [1 x featureDim()] for the sparsity pattern of @p in
+     *  (values are ignored); caches for backward. */
+    virtual nn::Mat forward(const SparseInput& in) = 0;
 
     /** Backpropagate d(feature) into the extractor's parameters. */
     virtual void backward(const nn::Mat& d_feat) = 0;

@@ -29,7 +29,7 @@ WacoCostModel::WacoCostModel(Algorithm alg, const std::string& extractor_kind,
 }
 
 Mat
-WacoCostModel::extractFeature(const PatternInput& in)
+WacoCostModel::extractFeature(const SparseInput& in)
 {
     WACO_SPAN("model.extract");
     WACO_COUNT("model.features_extracted", 1);
@@ -118,7 +118,7 @@ WacoCostModel::predict(const Mat& feature,
 }
 
 WacoCostModel::ForwardState
-WacoCostModel::forwardFull(const PatternInput& in,
+WacoCostModel::forwardFull(const SparseInput& in,
                            const std::vector<SuperSchedule>& batch)
 {
     ForwardState st;
@@ -145,16 +145,8 @@ WacoCostModel::backwardFull(const Mat& d_pred)
     extractor_->backward(d_feat);
 }
 
-double
-WacoCostModel::trainStep(const PatternInput& in,
-                         const std::vector<SuperSchedule>& batch,
-                         const std::vector<double>& runtimes, bool use_l2)
-{
-    return trainStepGuarded(in, batch, runtimes, use_l2, 0.0).loss;
-}
-
 WacoCostModel::StepOutcome
-WacoCostModel::trainStepGuarded(const PatternInput& in,
+WacoCostModel::trainStepGuarded(const SparseInput& in,
                                 const std::vector<SuperSchedule>& batch,
                                 const std::vector<double>& runtimes,
                                 bool use_l2, double clip_norm)
@@ -230,7 +222,7 @@ WacoCostModel::paramsFinite()
 }
 
 double
-WacoCostModel::evalLoss(const PatternInput& in,
+WacoCostModel::evalLoss(const SparseInput& in,
                         const std::vector<SuperSchedule>& batch,
                         const std::vector<double>& runtimes, bool use_l2)
 {
@@ -241,7 +233,7 @@ WacoCostModel::evalLoss(const PatternInput& in,
 }
 
 double
-WacoCostModel::evalOrderAccuracy(const PatternInput& in,
+WacoCostModel::evalOrderAccuracy(const SparseInput& in,
                                  const std::vector<SuperSchedule>& batch,
                                  const std::vector<double>& runtimes)
 {

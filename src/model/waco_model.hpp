@@ -40,7 +40,7 @@ class WacoCostModel
     u32 embeddingDim() const { return embedder_->outDim(); }
 
     /** Run the feature extractor once for an input pattern. */
-    nn::Mat extractFeature(const PatternInput& in);
+    nn::Mat extractFeature(const SparseInput& in);
 
     /** Program embeddings for a batch of schedules (KNN-graph nodes). */
     nn::Mat programEmbeddings(const std::vector<SuperSchedule>& batch);
@@ -95,22 +95,15 @@ class WacoCostModel
     };
 
     /**
-     * One optimizer step on a (matrix, schedule batch) group: forward,
-     * pairwise hinge loss (or L2 for the ablation), backward, Adam update.
-     * @return the batch loss before the update.
+     * One optimizer step on an (input, schedule batch) group: forward,
+     * pairwise hinge loss (or L2 for the ablation), backward, Adam update,
+     * with fault guards: a non-finite loss or gradient norm skips the Adam
+     * update entirely (gradients are zeroed, weights and optimizer moments
+     * untouched), and when @p clip_norm > 0 the global gradient norm is
+     * clipped before the update. StepOutcome::loss is the batch loss
+     * before the update.
      */
-    double trainStep(const PatternInput& in,
-                     const std::vector<SuperSchedule>& batch,
-                     const std::vector<double>& runtimes,
-                     bool use_l2 = false);
-
-    /**
-     * trainStep with fault guards: a non-finite loss or gradient norm
-     * skips the Adam update entirely (gradients are zeroed, weights and
-     * optimizer moments untouched), and when @p clip_norm > 0 the global
-     * gradient norm is clipped before the update.
-     */
-    StepOutcome trainStepGuarded(const PatternInput& in,
+    StepOutcome trainStepGuarded(const SparseInput& in,
                                  const std::vector<SuperSchedule>& batch,
                                  const std::vector<double>& runtimes,
                                  bool use_l2, double clip_norm);
@@ -125,12 +118,12 @@ class WacoCostModel
     bool paramsFinite();
 
     /** Loss without any update (validation). */
-    double evalLoss(const PatternInput& in,
+    double evalLoss(const SparseInput& in,
                     const std::vector<SuperSchedule>& batch,
                     const std::vector<double>& runtimes, bool use_l2 = false);
 
     /** Ranking accuracy on a batch (fraction of pairs ordered correctly). */
-    double evalOrderAccuracy(const PatternInput& in,
+    double evalOrderAccuracy(const SparseInput& in,
                              const std::vector<SuperSchedule>& batch,
                              const std::vector<double>& runtimes);
 
@@ -144,7 +137,7 @@ class WacoCostModel
         u32 batch = 0;
     };
 
-    ForwardState forwardFull(const PatternInput& in,
+    ForwardState forwardFull(const SparseInput& in,
                              const std::vector<SuperSchedule>& batch);
     void backwardFull(const nn::Mat& d_pred);
 

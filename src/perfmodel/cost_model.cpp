@@ -114,41 +114,18 @@ slotCoordOf(const LoopNest& nest, const AlgorithmInfo& info, u32 slot,
 } // namespace
 
 Measurement
-RuntimeOracle::measure(const SparseMatrix& m, const ProblemShape& shape,
+RuntimeOracle::measure(const SparseInput& in, const ProblemShape& shape,
                        const SuperSchedule& s) const
 {
     measurements_.fetch_add(1);
     Measurement out;
     try {
         LoopNest nest = lower(s, shape); // validates the schedule
-        auto fmt = HierSparseTensor::build(formatOf(s, shape), m,
-                                           maxFormatBytes_);
-        std::vector<std::array<u32, 3>> coords(m.nnz());
-        for (u64 n = 0; n < m.nnz(); ++n)
-            coords[n] = {m.rowIndices()[n], m.colIndices()[n], 0};
-        return measureImpl(coords, m.nnz(), shape, s, nest, fmt);
-    } catch (const FatalError& e) {
-        out.valid = false;
-        out.invalidReason = e.what();
-        out.seconds = kInf;
-        return out;
-    }
-}
-
-Measurement
-RuntimeOracle::measure(const Sparse3Tensor& t, const ProblemShape& shape,
-                       const SuperSchedule& s) const
-{
-    measurements_.fetch_add(1);
-    Measurement out;
-    try {
-        LoopNest nest = lower(s, shape); // validates the schedule
-        auto fmt = HierSparseTensor::build(formatOf(s, shape), t,
-                                           maxFormatBytes_);
-        std::vector<std::array<u32, 3>> coords(t.nnz());
-        for (u64 n = 0; n < t.nnz(); ++n)
-            coords[n] = {t.iIndices()[n], t.kIndices()[n], t.lIndices()[n]};
-        return measureImpl(coords, t.nnz(), shape, s, nest, fmt);
+        auto fmt = HierSparseTensor::build(formatOf(s, shape), in);
+        std::vector<std::array<u32, 3>> coords(in.nnz());
+        for (u64 n = 0; n < in.nnz(); ++n)
+            coords[n] = in.coord(n);
+        return measureImpl(coords, in.nnz(), shape, s, nest, fmt);
     } catch (const FatalError& e) {
         out.valid = false;
         out.invalidReason = e.what();

@@ -78,21 +78,19 @@ class MeasurementError : public std::runtime_error
 /**
  * Anything that can "run" a (input, shape, schedule) triple and report a
  * runtime: the deterministic RuntimeOracle, a FaultyOracle decorator that
- * injects noise/failures, or a RobustMeasurer that retries another backend.
- * Implementations may throw MeasurementError for transient failures.
+ * injects noise/failures, a RobustMeasurer that retries another backend,
+ * or a WallclockMeasurer that executes the nest. There is one entry point
+ * for every input order: a matrix (SpMV / SpMM / SDDMM / fused) and a
+ * 3-tensor (MTTKRP) both arrive as a SparseInput. Implementations may
+ * throw MeasurementError for transient failures.
  */
 class MeasurementBackend
 {
   public:
     virtual ~MeasurementBackend() = default;
 
-    /** Measure a 2D kernel (SpMV / SpMM / SDDMM). */
-    virtual Measurement measure(const SparseMatrix& m,
-                                const ProblemShape& shape,
-                                const SuperSchedule& s) const = 0;
-
-    /** Measure MTTKRP on a 3D tensor. */
-    virtual Measurement measure(const Sparse3Tensor& t,
+    /** Measure @p s on @p in; @p shape must come from the same input. */
+    virtual Measurement measure(const SparseInput& in,
                                 const ProblemShape& shape,
                                 const SuperSchedule& s) const = 0;
 
@@ -104,19 +102,15 @@ class MeasurementBackend
 class RuntimeOracle : public MeasurementBackend
 {
   public:
-    explicit RuntimeOracle(MachineConfig machine,
-                           u64 max_format_bytes = 512ull * 1024 * 1024)
-        : machine_(std::move(machine)), maxFormatBytes_(max_format_bytes)
+    explicit RuntimeOracle(MachineConfig machine)
+        : machine_(std::move(machine))
     {}
 
     const MachineConfig& machine() const { return machine_; }
 
-    /** Measure a 2D kernel (SpMV / SpMM / SDDMM). */
-    Measurement measure(const SparseMatrix& m, const ProblemShape& shape,
-                        const SuperSchedule& s) const override;
-
-    /** Measure MTTKRP on a 3D tensor. */
-    Measurement measure(const Sparse3Tensor& t, const ProblemShape& shape,
+    /** Estimate @p s on @p in. A schedule that fails to lower or whose
+     *  format exceeds HierSparseTensor::kDefaultMaxBytes is invalid. */
+    Measurement measure(const SparseInput& in, const ProblemShape& shape,
                         const SuperSchedule& s) const override;
 
     /**
@@ -138,7 +132,6 @@ class RuntimeOracle : public MeasurementBackend
                             const HierSparseTensor& fmt) const;
 
     MachineConfig machine_;
-    u64 maxFormatBytes_;
     mutable std::atomic<u64> measurements_{0};
 };
 

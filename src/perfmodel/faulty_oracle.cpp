@@ -5,8 +5,10 @@
 namespace waco {
 
 Measurement
-FaultyOracle::corrupt(Measurement m) const
+FaultyOracle::measure(const SparseInput& in, const ProblemShape& shape,
+                      const SuperSchedule& s) const
 {
+    Measurement m = inner_.measure(in, shape, s);
     ++stats_.calls;
 
     // 1. Transient failure: the run crashed or the harness lost it. Drawn
@@ -40,20 +42,6 @@ FaultyOracle::corrupt(Measurement m) const
         m.invalidReason = "timeout";
     }
     return m;
-}
-
-Measurement
-FaultyOracle::measure(const SparseMatrix& m, const ProblemShape& shape,
-                      const SuperSchedule& s) const
-{
-    return corrupt(inner_.measure(m, shape, s));
-}
-
-Measurement
-FaultyOracle::measure(const Sparse3Tensor& t, const ProblemShape& shape,
-                      const SuperSchedule& s) const
-{
-    return corrupt(inner_.measure(t, shape, s));
 }
 
 } // namespace waco

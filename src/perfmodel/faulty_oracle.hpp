@@ -63,14 +63,11 @@ class FaultyOracle : public MeasurementBackend
     const FaultConfig& config() const { return cfg_; }
     const FaultStats& stats() const { return stats_; }
 
-    Measurement measure(const SparseMatrix& m, const ProblemShape& shape,
-                        const SuperSchedule& s) const override;
-    Measurement measure(const Sparse3Tensor& t, const ProblemShape& shape,
+    Measurement measure(const SparseInput& in, const ProblemShape& shape,
                         const SuperSchedule& s) const override;
     u64 measurementCount() const override { return stats_.calls; }
 
   private:
-    Measurement corrupt(Measurement m) const;
 
     const MeasurementBackend& inner_;
     FaultConfig cfg_;

@@ -1,9 +1,7 @@
 #include "perfmodel/robust_measure.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
-#include <thread>
 
 #include "util/common.hpp"
 #include "util/metrics.hpp"
@@ -13,20 +11,15 @@ namespace waco {
 
 RobustMeasurer::RobustMeasurer(const MeasurementBackend& backend,
                                RetryPolicy policy)
-    : backend_(backend), policy_(policy), jitterRng_(policy.backoffSeed)
+    : backend_(backend), policy_(policy)
 {
     fatalIf(policy_.maxAttempts == 0, "RetryPolicy.maxAttempts must be >= 1");
     fatalIf(policy_.medianOf == 0, "RetryPolicy.medianOf must be >= 1");
-    fatalIf(policy_.backoffBase < 0.0 || policy_.backoffJitter < 0.0 ||
-                policy_.backoffJitter >= 1.0 ||
-                policy_.backoffUnitSeconds < 0.0,
-            "RetryPolicy backoff knobs must satisfy base >= 0, "
-            "0 <= jitter < 1, unitSeconds >= 0");
 }
 
 Measurement
-RobustMeasurer::measureRobust(
-    const std::function<Measurement()>& attempt) const
+RobustMeasurer::measure(const SparseInput& in, const ProblemShape& shape,
+                        const SuperSchedule& s) const
 {
     WACO_SPAN("measure.call");
     ++stats_.calls;
@@ -43,32 +36,12 @@ RobustMeasurer::measureRobust(
             if (try_n > 0) {
                 ++stats_.retries;
                 WACO_COUNT("measure.retries", 1);
-                // Exponential backoff with multiplicative jitter: the
-                // scheduled 1, 2, 4, ... units are always accounted; the
-                // jittered amount is slept only when the policy prices a
-                // unit in wall-clock seconds.
-                stats_.backoffUnits += 1ull << (try_n - 1);
-                double scheduled = policy_.backoffBase *
-                                   static_cast<double>(1ull << (try_n - 1));
-                double jitter =
-                    policy_.backoffJitter > 0.0
-                        ? jitterRng_.uniformReal(1.0 - policy_.backoffJitter,
-                                                 1.0 + policy_.backoffJitter)
-                        : 1.0;
-                double accrued = scheduled * jitter;
-                stats_.backoffAccrued += accrued;
-                if (policy_.backoffUnitSeconds > 0.0) {
-                    WACO_COUNT("measure.backoff_sleeps", 1);
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(
-                            accrued * policy_.backoffUnitSeconds));
-                }
             }
             ++stats_.attempts;
             WACO_COUNT("measure.attempts", 1);
             Measurement m;
             try {
-                m = attempt();
+                m = backend_.measure(in, shape, s);
             } catch (const MeasurementError& e) {
                 ++stats_.faults;
                 WACO_COUNT("measure.faults", 1);
@@ -115,20 +88,6 @@ RobustMeasurer::measureRobust(
                              samples[samples.size() / 2].seconds);
     }
     return out;
-}
-
-Measurement
-RobustMeasurer::measure(const SparseMatrix& m, const ProblemShape& shape,
-                        const SuperSchedule& s) const
-{
-    return measureRobust([&] { return backend_.measure(m, shape, s); });
-}
-
-Measurement
-RobustMeasurer::measure(const Sparse3Tensor& t, const ProblemShape& shape,
-                        const SuperSchedule& s) const
-{
-    return measureRobust([&] { return backend_.measure(t, shape, s); });
 }
 
 } // namespace waco

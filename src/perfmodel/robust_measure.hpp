@@ -5,23 +5,16 @@
  * label or a tuning decision.
  *
  * Per logical measurement it takes up to `medianOf` samples; each sample is
- * retried up to `maxAttempts` times on transient failures (MeasurementError
- * throws or invalid results). Consecutive retries back off exponentially
- * (1, 2, 4, ... units) with seeded multiplicative jitter; by default the
- * backoff is *accounted* in MeasureStats rather than slept, so tests of the
- * retry path stay fast while the policy is still observable — a positive
- * RetryPolicy::backoffUnitSeconds prices units in wall-clock sleeps for
- * real deployments. If every attempt of every sample fails, the call is
- * *discarded*: it returns an invalid Measurement carrying the last failure
- * reason, and the caller decides how to degrade (the dataset builder skips
- * the schedule, the tuner falls back to the CSR default).
+ * retried immediately, up to `maxAttempts` times, on transient failures
+ * (MeasurementError throws or invalid results). If every attempt of every
+ * sample fails, the call is *discarded*: it returns an invalid Measurement
+ * carrying the last failure reason, and the caller decides how to degrade
+ * (the dataset builder skips the schedule, the tuner falls back to the CSR
+ * default).
  */
 #pragma once
 
-#include <functional>
-
 #include "perfmodel/cost_model.hpp"
-#include "util/rng.hpp"
 
 namespace waco {
 
@@ -33,41 +26,18 @@ struct RetryPolicy
     /** Valid samples collected per call; the median is reported (>= 1).
      *  1 = no remeasurement, matching the raw backend call-for-call. */
     u32 medianOf = 1;
-
-    // --- backoff schedule between retry attempts -------------------------
-    // The n-th consecutive retry of a sample backs off
-    //   backoffBase * 2^(n-1) * U   units, with U ~ Uniform[1 - backoffJitter,
-    //                                                      1 + backoffJitter)
-    // drawn from a stream seeded by backoffSeed, so the schedule is
-    // reproducible run-to-run and jitter decorrelates retry storms from
-    // concurrent requests hammering the same flaky backend. Units are
-    // *accounted* in MeasureStats always; they are only *slept* when
-    // backoffUnitSeconds > 0, keeping retry-path tests instant by default.
-
-    /** Backoff units before the first retry (doubles per retry). */
-    double backoffBase = 1.0;
-    /** Jitter fraction in [0, 1); 0 = the exact 1, 2, 4, ... schedule. */
-    double backoffJitter = 0.0;
-    /** Seed of the jitter stream. */
-    u64 backoffSeed = 0xb0ff;
-    /** Wall-clock seconds per backoff unit (0 = account, never sleep). */
-    double backoffUnitSeconds = 0.0;
 };
 
 /** Cumulative outcome statistics across all calls of one RobustMeasurer. */
 struct MeasureStats
 {
-    u64 calls = 0;        ///< Logical measure() calls.
-    u64 attempts = 0;     ///< Backend invocations (incl. retries).
-    u64 retries = 0;      ///< Attempts that were re-issued after a failure.
-    u64 faults = 0;       ///< MeasurementError throws absorbed.
-    u64 invalid = 0;      ///< Invalid results seen (non-timeout).
-    u64 timeouts = 0;     ///< Invalid results with reason "timeout".
-    u64 discarded = 0;    ///< Calls whose every attempt failed.
-    u64 backoffUnits = 0; ///< Scheduled backoff units (1, 2, 4, ... sums).
-    /** Backoff actually accrued after jitter, in units; equals
-     *  backoffUnits * backoffBase when backoffJitter == 0. */
-    double backoffAccrued = 0.0;
+    u64 calls = 0;     ///< Logical measure() calls.
+    u64 attempts = 0;  ///< Backend invocations (incl. retries).
+    u64 retries = 0;   ///< Attempts that were re-issued after a failure.
+    u64 faults = 0;    ///< MeasurementError throws absorbed.
+    u64 invalid = 0;   ///< Invalid results seen (non-timeout).
+    u64 timeouts = 0;  ///< Invalid results with reason "timeout".
+    u64 discarded = 0; ///< Calls whose every attempt failed.
 };
 
 /** Retrying, denoising wrapper around a MeasurementBackend. */
@@ -82,19 +52,13 @@ class RobustMeasurer : public MeasurementBackend
     const MeasureStats& stats() const { return stats_; }
     void resetStats() const { stats_ = {}; }
 
-    Measurement measure(const SparseMatrix& m, const ProblemShape& shape,
-                        const SuperSchedule& s) const override;
-    Measurement measure(const Sparse3Tensor& t, const ProblemShape& shape,
+    Measurement measure(const SparseInput& in, const ProblemShape& shape,
                         const SuperSchedule& s) const override;
     u64 measurementCount() const override { return stats_.calls; }
 
   private:
-    Measurement measureRobust(
-        const std::function<Measurement()>& attempt) const;
-
     const MeasurementBackend& backend_;
     RetryPolicy policy_;
-    mutable Rng jitterRng_; ///< Seeded by policy_.backoffSeed.
     mutable MeasureStats stats_;
 };
 

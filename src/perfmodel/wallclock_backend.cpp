@@ -130,28 +130,12 @@ WallclockMeasurer::run(const HierSparseTensor& t, const ProblemShape& shape,
 }
 
 Measurement
-WallclockMeasurer::measure(const SparseMatrix& m, const ProblemShape& shape,
+WallclockMeasurer::measure(const SparseInput& in, const ProblemShape& shape,
                            const SuperSchedule& s) const
 {
     measurements_.fetch_add(1);
     try {
-        auto t = HierSparseTensor::build(formatOf(s, shape), m,
-                                         opt_.maxFormatBytes);
-        return run(t, shape, s);
-    } catch (const FormatTooLarge& e) {
-        return invalid(e.what());
-    }
-}
-
-Measurement
-WallclockMeasurer::measure(const Sparse3Tensor& t3, const ProblemShape& shape,
-                           const SuperSchedule& s) const
-{
-    measurements_.fetch_add(1);
-    try {
-        auto t = HierSparseTensor::build(formatOf(s, shape), t3,
-                                         opt_.maxFormatBytes);
-        return run(t, shape, s);
+        return run(HierSparseTensor::build(formatOf(s, shape), in), shape, s);
     } catch (const FormatTooLarge& e) {
         return invalid(e.what());
     }

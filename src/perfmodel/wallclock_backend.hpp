@@ -31,7 +31,6 @@ struct WallclockOptions
      *  hardware concurrency. The paper's 24/48-thread annotations would
      *  oversubscribe small CI machines into pure noise otherwise. */
     u32 maxThreads = 0;
-    u64 maxFormatBytes = 512ull * 1024 * 1024;
 };
 
 /** Measures (input, shape, schedule) triples by executing them. */
@@ -42,9 +41,7 @@ class WallclockMeasurer final : public MeasurementBackend
         : exec_(exec), opt_(opt)
     {}
 
-    Measurement measure(const SparseMatrix& m, const ProblemShape& shape,
-                        const SuperSchedule& s) const override;
-    Measurement measure(const Sparse3Tensor& t, const ProblemShape& shape,
+    Measurement measure(const SparseInput& in, const ProblemShape& shape,
                         const SuperSchedule& s) const override;
 
     u64 measurementCount() const override { return measurements_.load(); }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Canonical coordinate (COO) sparse matrix / 3-tensor types.
+ * Canonical coordinate (COO) sparse matrix / 3-tensor types, and the
+ * order-generic SparseInput view over either.
  *
  * Every other representation in WACO (CSR, the TACO-style coordinate
  * hierarchy, ASpT tiles, ...) is built from these canonical forms. The COO
@@ -131,6 +132,52 @@ class Sparse3Tensor
     std::vector<u32> l_;
     std::vector<float> val_;
     std::string name_;
+};
+
+/**
+ * Non-owning, order-generic view of a canonical COO input: a SparseMatrix
+ * (order 2) or a Sparse3Tensor (order 3). It is the one input type of every
+ * layer above the owners (format build, measurement, feature extraction,
+ * labeling, tuning); both owners convert to it implicitly. The viewed
+ * object must outlive the view.
+ */
+class SparseInput
+{
+  public:
+    SparseInput(const SparseMatrix& m)
+        : order_(2), dims_{m.rows(), m.cols(), 0},
+          idx_{m.rowIndices().data(), m.colIndices().data(), nullptr},
+          vals_(&m.values()), name_(&m.name())
+    {}
+
+    SparseInput(const Sparse3Tensor& t)
+        : order_(3), dims_(t.dims()),
+          idx_{t.iIndices().data(), t.kIndices().data(), t.lIndices().data()},
+          vals_(&t.values()), name_(&t.name())
+    {}
+
+    u32 order() const { return order_; }
+    /** Dimension sizes; the third is 0 for a matrix. */
+    const std::array<u32, 3>& dims() const { return dims_; }
+    u64 nnz() const { return vals_->size(); }
+
+    /** Coordinates of the @p n-th stored nonzero (sorted order); the third
+     *  is 0 for a matrix. */
+    std::array<u32, 3>
+    coord(u64 n) const
+    {
+        return {idx_[0][n], idx_[1][n], order_ == 3 ? idx_[2][n] : 0};
+    }
+
+    const std::vector<float>& values() const { return *vals_; }
+    const std::string& name() const { return *name_; }
+
+  private:
+    u32 order_;
+    std::array<u32, 3> dims_;
+    std::array<const u32*, 3> idx_;
+    const std::vector<float>* vals_;
+    const std::string* name_;
 };
 
 } // namespace waco

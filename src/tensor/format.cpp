@@ -192,30 +192,18 @@ constexpr u64 kEntryBytes = 4;
 } // namespace
 
 HierSparseTensor
-HierSparseTensor::build(const FormatDescriptor& desc, const SparseMatrix& m,
+HierSparseTensor::build(const FormatDescriptor& desc, const SparseInput& in,
                         u64 max_bytes)
 {
-    fatalIf(desc.order() != 2, "2D build requires an order-2 descriptor");
-    fatalIf(desc.dims()[0] != m.rows() || desc.dims()[1] != m.cols(),
-            "descriptor dims do not match matrix shape");
-    std::vector<std::array<u32, 3>> coords(m.nnz());
-    for (u64 n = 0; n < m.nnz(); ++n)
-        coords[n] = {m.rowIndices()[n], m.colIndices()[n], 0};
-    return buildImpl(desc, coords, m.values(), max_bytes);
-}
-
-HierSparseTensor
-HierSparseTensor::build(const FormatDescriptor& desc, const Sparse3Tensor& t,
-                        u64 max_bytes)
-{
-    fatalIf(desc.order() != 3, "3D build requires an order-3 descriptor");
-    fatalIf(desc.dims()[0] != t.dimI() || desc.dims()[1] != t.dimK() ||
-                desc.dims()[2] != t.dimL(),
-            "descriptor dims do not match tensor shape");
-    std::vector<std::array<u32, 3>> coords(t.nnz());
-    for (u64 n = 0; n < t.nnz(); ++n)
-        coords[n] = {t.iIndices()[n], t.kIndices()[n], t.lIndices()[n]};
-    return buildImpl(desc, coords, t.values(), max_bytes);
+    fatalIf(desc.order() != in.order(),
+            "descriptor order does not match input order");
+    for (u32 d = 0; d < in.order(); ++d)
+        fatalIf(desc.dims()[d] != in.dims()[d],
+                "descriptor dims do not match input shape");
+    std::vector<std::array<u32, 3>> coords(in.nnz());
+    for (u64 n = 0; n < in.nnz(); ++n)
+        coords[n] = in.coord(n);
+    return buildImpl(desc, coords, in.values(), max_bytes);
 }
 
 HierSparseTensor

@@ -151,15 +151,11 @@ struct BuiltLevel
 class HierSparseTensor
 {
   public:
-    /** Build a 2D matrix in the given format.
+    /** Build a matrix or 3-tensor in the given format (the descriptor's
+     *  order and dims must match the input's).
      *  @throws FormatTooLarge if storage would exceed @p max_bytes. */
     static HierSparseTensor build(const FormatDescriptor& desc,
-                                  const SparseMatrix& m,
-                                  u64 max_bytes = kDefaultMaxBytes);
-
-    /** Build a 3D tensor in the given format. */
-    static HierSparseTensor build(const FormatDescriptor& desc,
-                                  const Sparse3Tensor& t,
+                                  const SparseInput& in,
                                   u64 max_bytes = kDefaultMaxBytes);
 
     const FormatDescriptor& descriptor() const { return desc_; }

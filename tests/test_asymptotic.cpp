@@ -368,14 +368,11 @@ class AsymFilterAB : public ::testing::Test
         copt.minNnz = 800;
         copt.maxNnz = 2500;
         u64 seed = 0xAB0 + static_cast<u64>(alg);
-        CostDataset ds;
-        if (threeD) {
-            auto corpus = makeCorpus3d(copt, seed);
-            ds = buildDataset3d(alg, corpus, with.oracle(), 10, seed + 1);
-        } else {
-            auto corpus = makeCorpus(copt, seed);
-            ds = buildDataset(alg, corpus, with.oracle(), 10, seed + 1);
-        }
+        CostDataset ds =
+            threeD ? buildDataset(alg, makeCorpus3d(copt, seed),
+                                  with.oracle(), 10, seed + 1)
+                   : buildDataset(alg, makeCorpus(copt, seed), with.oracle(),
+                                  10, seed + 1);
         // Same dataset + same seed: both tuners hold identical graphs.
         with.attachDataset(ds);
         without.attachDataset(ds);
@@ -384,17 +381,17 @@ class AsymFilterAB : public ::testing::Test
         ASSERT_LE(with.graphSchedules().size(),
                   static_cast<std::size_t>(smallOptions(true).topK));
 
+        // Only the owned input differs by order; tuning is one call.
         Rng rng(seed + 2);
-        TuneOutcome a, b;
-        if (threeD) {
-            auto t = genTensor3(200, 160, 120, 3000, rng);
-            a = with.tune3d(t);
-            b = without.tune3d(t);
-        } else {
-            auto m = genUniform(256, 256, 2000, rng);
-            a = with.tune(m);
-            b = without.tune(m);
-        }
+        SparseMatrix m;
+        Sparse3Tensor t;
+        if (threeD)
+            t = genTensor3(200, 160, 120, 3000, rng);
+        else
+            m = genUniform(256, 256, 2000, rng);
+        SparseInput in = threeD ? SparseInput(t) : SparseInput(m);
+        TuneOutcome a = with.tune(in);
+        TuneOutcome b = without.tune(in);
 
         // Identical measured winner...
         EXPECT_EQ(a.best.key(), b.best.key());
@@ -453,29 +450,23 @@ TEST_F(AsymFilterAB, PrunedCandidateNeverBeatsWinnerByMoreThanEpsilon)
         copt.minNnz = 800;
         copt.maxNnz = 2500;
         u64 seed = 0xAB0 + static_cast<u64>(alg);
-        CostDataset ds;
-        if (threeD) {
-            auto corpus = makeCorpus3d(copt, seed);
-            ds = buildDataset3d(alg, corpus, without.oracle(), 10, seed + 1);
-        } else {
-            auto corpus = makeCorpus(copt, seed);
-            ds = buildDataset(alg, corpus, without.oracle(), 10, seed + 1);
-        }
+        CostDataset ds =
+            threeD ? buildDataset(alg, makeCorpus3d(copt, seed),
+                                  without.oracle(), 10, seed + 1)
+                   : buildDataset(alg, makeCorpus(copt, seed),
+                                  without.oracle(), 10, seed + 1);
         without.attachDataset(ds);
 
         Rng rng(seed + 2);
-        TuneOutcome b;
-        ProblemShape shape;
-        if (threeD) {
-            auto t = genTensor3(200, 160, 120, 3000, rng);
-            shape = ProblemShape::forTensor3(alg, t.dimI(), t.dimK(),
-                                             t.dimL());
-            b = without.tune3d(t);
-        } else {
-            auto m = genUniform(256, 256, 2000, rng);
-            shape = ProblemShape::forMatrix(alg, m.rows(), m.cols());
-            b = without.tune(m);
-        }
+        SparseMatrix m;
+        Sparse3Tensor t;
+        if (threeD)
+            t = genTensor3(200, 160, 120, 3000, rng);
+        else
+            m = genUniform(256, 256, 2000, rng);
+        SparseInput in = threeD ? SparseInput(t) : SparseInput(m);
+        ProblemShape shape = ProblemShape::forInput(alg, in);
+        TuneOutcome b = without.tune(in);
         ASSERT_FALSE(b.fellBack);
         ASSERT_GT(b.topK.size(), 0u);
 

@@ -119,7 +119,7 @@ TEST(DatasetIo, DatasetRoundTrip3d)
     copt.minNnz = 200;
     copt.maxNnz = 500;
     auto corpus = makeCorpus3d(copt, 73);
-    auto ds = buildDataset3d(Algorithm::MTTKRP, corpus, oracle, 5, 74);
+    auto ds = buildDataset(Algorithm::MTTKRP, corpus, oracle, 5, 74);
     std::string path = ::testing::TempDir() + "/waco_ds3.bin";
     saveDataset(ds, path);
     auto back = loadDataset(path);

@@ -298,12 +298,12 @@ TEST(PredictorBatch, ScoreEmbeddingsMatchesTrainingPathAndBatchSplits)
     for (int i = 0; i < 24; ++i)
         batch.push_back(space.sample(rng));
 
-    PatternInput in;
-    in.dim = 2;
-    in.shape = {64, 64, 0};
-    in.coords = randomCoords(50, 64, rng);
+    std::vector<Triplet> nz;
+    for (const auto& c : randomCoords(50, 64, rng))
+        nz.push_back({static_cast<u32>(c[0]), static_cast<u32>(c[1]), 1.0f});
+    SparseMatrix m(64, 64, std::move(nz));
 
-    Mat feature = model.extractFeature(in);
+    Mat feature = model.extractFeature(m);
     Mat emb = model.programEmbeddings(batch);
     Mat train_path = model.predictFromEmbeddings(feature, emb);
 

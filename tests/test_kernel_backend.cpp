@@ -132,33 +132,31 @@ TEST(KernelCacheKey, ParallelAnnotationDoesNotChangeKey)
     SuperSchedule t = s;
     t.ompChunk = s.ompChunk == 32 ? 64 : 32;
     t.numThreads = s.numThreads == 48 ? 24 : 48;
-    EXPECT_EQ(kernelCacheKey(lower(s, shape), {true}, true),
-              kernelCacheKey(lower(t, shape), {true}, true));
+    EXPECT_EQ(kernelCacheKey(lower(s, shape), {true}),
+              kernelCacheKey(lower(t, shape), {true}));
 }
 
 TEST(KernelCacheKey, StructuralChangesChangeKey)
 {
     auto nest = lowerStorageOrder(Algorithm::SpMV,
                                   FormatDescriptor::csr(64, 48));
-    auto key = kernelCacheKey(nest, {}, true);
+    auto key = kernelCacheKey(nest, {});
     // Different format half.
     auto csc = lowerStorageOrder(Algorithm::SpMV,
                                  FormatDescriptor::csc(64, 48));
-    EXPECT_NE(key, kernelCacheKey(csc, {}, true));
-    // Different emitter pass configuration.
-    EXPECT_NE(key, kernelCacheKey(nest, {}, false));
+    EXPECT_NE(key, kernelCacheKey(csc, {}));
     // Different shape class.
     auto small = lowerStorageOrder(Algorithm::SpMV,
                                    FormatDescriptor::csr(32, 48));
-    EXPECT_NE(key, kernelCacheKey(small, {}, true));
+    EXPECT_NE(key, kernelCacheKey(small, {}));
 }
 
 TEST(KernelCacheKey, DenseLayoutChangesKey)
 {
     auto nest = lowerStorageOrder(Algorithm::SpMM,
                                   FormatDescriptor::csr(64, 48), 8);
-    EXPECT_NE(kernelCacheKey(nest, {true}, true),
-              kernelCacheKey(nest, {false}, true));
+    EXPECT_NE(kernelCacheKey(nest, {true}),
+              kernelCacheKey(nest, {false}));
 }
 
 // ---------------------------------------------------------------------------

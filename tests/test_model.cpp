@@ -50,7 +50,7 @@ TEST(WacoModel, PredictMatchesEmbeddingFastPath)
     auto shape = ProblemShape::forMatrix(Algorithm::SpMV, 64, 64);
     SuperScheduleSpace space(Algorithm::SpMV, shape);
     std::vector<SuperSchedule> batch = {space.sample(rng), space.sample(rng)};
-    auto feature = model.extractFeature(PatternInput::fromMatrix(m));
+    auto feature = model.extractFeature(m);
     auto direct = model.predict(feature, batch);
     auto emb = model.programEmbeddings(batch);
     auto fast = model.predictFromEmbeddings(feature, emb);
@@ -93,9 +93,8 @@ TEST(WacoModel, SaveLoadPreservesPredictions)
     std::string path = ::testing::TempDir() + "/waco_model.bin";
     a.save(path);
     b.load(path);
-    auto in = PatternInput::fromMatrix(m);
-    auto fa = a.extractFeature(in);
-    auto fb = b.extractFeature(in);
+    auto fa = a.extractFeature(m);
+    auto fb = b.extractFeature(m);
     auto pa = a.predict(fa, batch);
     auto pb = b.predict(fb, batch);
     for (u32 n = 0; n < pa.rows; ++n)
@@ -142,10 +141,10 @@ TEST(Dataset, ThreeDimensionalPath)
     copt.minNnz = 300;
     copt.maxNnz = 900;
     auto corpus = makeCorpus3d(copt, 41);
-    auto ds = buildDataset3d(Algorithm::MTTKRP, corpus, oracle, 6, 42);
+    auto ds = buildDataset(Algorithm::MTTKRP, corpus, oracle, 6, 42);
     EXPECT_EQ(ds.entries.size(), 3u);
     EXPECT_TRUE(ds.entries[0].is3d);
-    EXPECT_EQ(ds.entries[0].pattern.dim, 3u);
+    EXPECT_EQ(ds.entries[0].input().order(), 3u);
 }
 
 } // namespace

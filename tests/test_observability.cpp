@@ -502,7 +502,11 @@ TEST_F(ObservabilityTest, RulebookCacheEvictionCounters)
     auto coords_of = [](u64 seed) {
         Rng r(seed);
         auto m = genUniform(64, 64, 200, r);
-        return PatternInput::fromMatrix(m).coords;
+        std::vector<std::array<i32, 3>> coords;
+        for (u64 n = 0; n < m.nnz(); ++n)
+            coords.push_back({static_cast<i32>(m.rowIndices()[n]),
+                              static_cast<i32>(m.colIndices()[n]), 0});
+        return coords;
     };
     auto c0 = coords_of(1), c1 = coords_of(2);
 

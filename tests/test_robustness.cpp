@@ -182,7 +182,6 @@ TEST(RobustMeasurer, RetryStatsAndRecovery)
     EXPECT_GE(st.attempts, 30u); // 3 samples per call minimum
     EXPECT_GT(st.retries, 0u);   // 50% failure rate forced retries
     EXPECT_GT(st.faults + st.invalid, 0u);
-    EXPECT_GT(st.backoffUnits, 0u);
     EXPECT_EQ(st.attempts, 30u + st.retries); // every extra attempt retried
 }
 
@@ -242,57 +241,6 @@ TEST(RobustMeasurer, DiscardsAfterExhaustingRetries)
     // without burning attempts on the second sample.
     EXPECT_EQ(st.attempts, 3u);
     EXPECT_EQ(st.retries, 2u);
-    EXPECT_EQ(st.backoffUnits, 3u); // 1 + 2
-}
-
-TEST(RobustMeasurer, JitteredBackoffIsSeededAndBounded)
-{
-    RuntimeOracle oracle(MachineConfig::intel24());
-    Rng rng(10);
-    auto m = genUniform(128, 128, 600, rng);
-    auto shape = ProblemShape::forMatrix(Algorithm::SpMV, 128, 128);
-    auto s = defaultSchedule(shape);
-
-    FaultConfig cfg;
-    cfg.failProb = 0.6;
-    cfg.seed = 31;
-    RetryPolicy policy;
-    policy.maxAttempts = 5;
-    policy.medianOf = 2;
-    policy.backoffJitter = 0.5;
-    policy.backoffSeed = 400;
-
-    auto run = [&](RetryPolicy p) {
-        FaultyOracle flaky(oracle, cfg); // fresh fault stream per run
-        RobustMeasurer robust(flaky, p);
-        for (int i = 0; i < 20; ++i)
-            robust.measure(m, shape, s);
-        return robust.stats();
-    };
-
-    auto a = run(policy);
-    auto b = run(policy);
-    ASSERT_GT(a.retries, 0u);
-    // Same jitter seed => bit-identical accrued backoff; different seed
-    // over the identical retry sequence => a different draw.
-    EXPECT_DOUBLE_EQ(a.backoffAccrued, b.backoffAccrued);
-    RetryPolicy other = policy;
-    other.backoffSeed = 401;
-    auto c = run(other);
-    EXPECT_EQ(a.retries, c.retries); // identical fault/retry sequence
-    EXPECT_NE(a.backoffAccrued, c.backoffAccrued);
-    // Jitter is bounded: total accrued within +/-50% of the scheduled sum,
-    // and never exactly on the unjittered schedule with 50% jitter.
-    double scheduled = static_cast<double>(a.backoffUnits);
-    EXPECT_GE(a.backoffAccrued, scheduled * 0.5);
-    EXPECT_LE(a.backoffAccrued, scheduled * 1.5);
-    EXPECT_NE(a.backoffAccrued, scheduled);
-
-    // Jitter off reproduces the exact 1, 2, 4, ... accounting.
-    RetryPolicy plain = policy;
-    plain.backoffJitter = 0.0;
-    auto d = run(plain);
-    EXPECT_DOUBLE_EQ(d.backoffAccrued, static_cast<double>(d.backoffUnits));
 }
 
 /** Validation loss computed exactly the way trainCostModel computes it. */
@@ -314,7 +262,7 @@ valLossOf(WacoCostModel& model, const CostDataset& ds, const TrainOptions& opt)
             schedules.push_back(e.samples[perm[i]].schedule);
             runtimes.push_back(e.samples[perm[i]].runtime);
         }
-        loss += model.evalLoss(e.pattern, schedules, runtimes, opt.useL2);
+        loss += model.evalLoss(e.input(), schedules, runtimes, opt.useL2);
     }
     return ds.valIds.empty() ? 0.0 : loss / ds.valIds.size();
 }
@@ -416,20 +364,12 @@ class KillSwitch : public MeasurementBackend
     {};
 
     Measurement
-    measure(const SparseMatrix& m, const ProblemShape& shape,
+    measure(const SparseInput& in, const ProblemShape& shape,
             const SuperSchedule& s) const override
     {
         if (++calls_ > budget_)
             throw Killed{};
-        return inner_.measure(m, shape, s);
-    }
-    Measurement
-    measure(const Sparse3Tensor& t, const ProblemShape& shape,
-            const SuperSchedule& s) const override
-    {
-        if (++calls_ > budget_)
-            throw Killed{};
-        return inner_.measure(t, shape, s);
+        return inner_.measure(in, shape, s);
     }
     u64 measurementCount() const override { return calls_; }
 

@@ -118,11 +118,11 @@ TEST_F(WacoTunerTest, EndToEndMttkrp)
 
     WacoTuner tuner(Algorithm::MTTKRP, MachineConfig::intel24(),
                     tinyOptions());
-    tuner.train3d(corpus);
+    tuner.train(corpus);
 
     Rng rng(62);
     auto t = genTensor3(100, 90, 80, 900, rng);
-    auto outcome = tuner.tune3d(t);
+    auto outcome = tuner.tune(t);
     EXPECT_TRUE(outcome.bestMeasured.valid);
     EXPECT_GT(outcome.bestMeasured.seconds, 0.0);
 }
