@@ -38,7 +38,6 @@
 
 #include "ir/loopnest.hpp"
 #include "tensor/coo.hpp"
-#include "tensor/csr.hpp"
 #include "tensor/dense.hpp"
 #include "tensor/format.hpp"
 

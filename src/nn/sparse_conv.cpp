@@ -1,29 +1,81 @@
 #include "nn/sparse_conv.hpp"
 
+#include <limits>
+
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
+#include "util/trace.hpp"
 
 namespace waco::nn {
 
 namespace {
 
-/** Hash a D-dimensional integer coordinate. */
-struct CoordHash
+/** Marks "no site" in the rulebook build's index arrays. */
+constexpr u32 kNone = ~u32(0);
+
+/** Order-preserving map of an i32 onto a u32 (flips the sign bit). */
+constexpr u64
+orderKey(i64 x)
 {
-    std::size_t
-    operator()(const std::array<i32, 3>& c) const
+    return static_cast<u32>(static_cast<i32>(x)) ^ 0x80000000u;
+}
+
+/**
+ * Sort key of one site: its coordinates compared lexicographically, exact
+ * over the full i32 range, ties broken by site number. `xy` holds the first
+ * two coordinates, `zs` the third above the site number.
+ */
+struct SiteKey
+{
+    u64 xy = 0;
+    u64 zs = 0;
+
+    bool
+    operator<(const SiteKey& o) const
     {
-        u64 h = 0xcbf29ce484222325ull;
-        for (i32 x : c) {
-            h ^= static_cast<u64>(static_cast<u32>(x));
-            h *= 0x100000001b3ull;
-            h ^= h >> 31;
-        }
-        return static_cast<std::size_t>(h);
+        return xy != o.xy ? xy < o.xy : zs < o.zs;
+    }
+
+    bool
+    sameCoords(const SiteKey& o) const
+    {
+        return xy == o.xy && (zs >> 32) == (o.zs >> 32);
+    }
+
+    u32 site() const { return static_cast<u32>(zs); }
+
+    /** Coordinate @p d (0, 1 or 2) of the site. */
+    i64
+    coord(u32 d) const
+    {
+        u64 bits = d == 0 ? xy >> 32 : d == 1 ? xy : zs >> 32;
+        return static_cast<i32>(static_cast<u32>(bits) ^ 0x80000000u);
+    }
+
+    /** The same coordinates under another site number. */
+    SiteKey
+    withSite(u32 s) const
+    {
+        return {xy, (zs & ~u64(0xffffffffu)) | s};
     }
 };
 
-using CoordMap = std::unordered_map<std::array<i32, 3>, u32, CoordHash>;
+/** Key of site number @p site at coordinates @p c (each within i32). */
+template <typename Int>
+SiteKey
+siteKey(const std::array<Int, 3>& c, u32 site)
+{
+    return {(orderKey(c[0]) << 32) | orderKey(c[1]),
+            (orderKey(c[2]) << 32) | site};
+}
+
+/** True when @p x is representable as an i32. */
+bool
+fitsI32(i64 x)
+{
+    return x >= std::numeric_limits<i32>::min() &&
+           x <= std::numeric_limits<i32>::max();
+}
 
 /** Work threshold before the execute step engages the ThreadPool. */
 constexpr u64 kParallelPairFlops = u64(1) << 20;
@@ -69,53 +121,116 @@ SparseConv::buildRulebook(const std::vector<std::array<i32, 3>>& coords) const
 {
     Rulebook rb;
     rb.inSites = static_cast<u32>(coords.size());
+    const u32 n = rb.inSites;
 
-    CoordMap out_index;
-    out_index.reserve(coords.size() * 2);
+    // Input sites in coordinate order.
+    std::vector<SiteKey> in(n);
+    for (u32 i = 0; i < n; ++i) {
+        if (dim_ == 2 && coords[i][2] != 0)
+            panic("sparse conv: a 2-D site has a nonzero third coordinate");
+        in[i] = siteKey(coords[i], i);
+    }
+    std::sort(in.begin(), in.end());
+    for (u32 k = 1; k < n; ++k) {
+        if (in[k].sameCoords(in[k - 1]))
+            panic("sparse conv: duplicate input site");
+    }
 
+    // Output sites: ids in first-occurrence order (pooling sums run in
+    // site order, so the order is part of the features), plus the output
+    // sites in coordinate order, each keyed with its output id, for the
+    // merge below.
+    std::vector<SiteKey> out_sorted;
     if (stride_ == 1) {
         // Submanifold: output sites == input sites.
         rb.outCoords = coords;
-        for (u32 i = 0; i < rb.inSites; ++i)
-            out_index.emplace(coords[i], i);
+        out_sorted = in;
     } else {
         // Strided (MinkowskiEngine semantics): output sites live on the
         // coarse grid at floor(p / stride), so each layer strictly
-        // coarsens the coordinate space.
-        auto floor_div = [](i32 x, i32 s) {
-            return x >= 0 ? x / s : -((-x + s - 1) / s);
-        };
-        for (u32 i = 0; i < rb.inSites; ++i) {
-            std::array<i32, 3> t = {0, 0, 0};
+        // coarsens the coordinate space. Sites sharing a coarse cell form
+        // one run after sorting, led by the run's smallest site.
+        std::vector<std::array<i32, 3>> coarse(n, {0, 0, 0});
+        std::vector<SiteKey> cells(n);
+        for (u32 i = 0; i < n; ++i) {
+            // Stride 2: the arithmetic shift is floor division.
             for (u32 d = 0; d < dim_; ++d)
-                t[d] = floor_div(coords[i][d], static_cast<i32>(stride_));
-            if (out_index.emplace(t, static_cast<u32>(rb.outCoords.size()))
-                    .second) {
-                rb.outCoords.push_back(t);
+                coarse[i][d] = coords[i][d] >> 1;
+            cells[i] = siteKey(coarse[i], i);
+        }
+        std::sort(cells.begin(), cells.end());
+        std::vector<u32> run_of_leader(n, kNone);
+        for (u32 k = 0; k < n; ++k) {
+            if (k == 0 || !cells[k].sameCoords(cells[k - 1])) {
+                run_of_leader[cells[k].site()] =
+                    static_cast<u32>(out_sorted.size());
+                out_sorted.push_back(cells[k]);
             }
+        }
+        rb.outCoords.reserve(out_sorted.size());
+        for (u32 i = 0; i < n; ++i) {
+            if (run_of_leader[i] == kNone)
+                continue;
+            SiteKey& run = out_sorted[run_of_leader[i]];
+            run = run.withSite(static_cast<u32>(rb.outCoords.size()));
+            rb.outCoords.push_back(coarse[i]);
         }
     }
 
     // Gather pair lists per offset: input p contributes to output q when
-    // p == q*stride + off. Iterating q outer keeps each per-offset list
-    // sorted by output site, which the execute step relies on for
-    // conflict-free parallel scatter.
+    // p == q*stride + off. Offsets that differ only in the last dimension
+    // form a group. Within a group the targets of the outputs, taken in
+    // coordinate order, ascend, so one forward cursor over the sorted
+    // inputs serves every output; each output then scans its window of
+    // +-half in the last dimension. Matches land in match[window][q] and
+    // are emitted in ascending q, keeping each per-offset list sorted by
+    // output site, which the execute step relies on for conflict-free
+    // parallel scatter. A window that leaves the i32 range matches nothing
+    // beyond it.
+    const u32 n_out = static_cast<u32>(rb.outCoords.size());
+    const u32 last = dim_ - 1;
+    const i64 width = kernel_;
     rb.pairs.assign(offsets_.size(), {});
-    CoordMap in_index;
-    in_index.reserve(coords.size() * 2);
-    for (u32 i = 0; i < rb.inSites; ++i)
-        in_index.emplace(coords[i], i);
-
-    for (u32 q = 0; q < rb.outCoords.size(); ++q) {
-        for (std::size_t o = 0; o < offsets_.size(); ++o) {
-            std::array<i32, 3> p = {0, 0, 0};
+    std::vector<u32> match(static_cast<std::size_t>(kernel_) * n_out);
+    std::vector<u32> found(kernel_);
+    for (std::size_t g = 0; g < offsets_.size(); g += kernel_) {
+        std::fill(match.begin(), match.end(), kNone);
+        std::fill(found.begin(), found.end(), 0);
+        u32 cursor = 0;
+        for (const SiteKey& out : out_sorted) {
+            std::array<i64, 3> lo = {0, 0, 0};
+            bool in_range = true;
             for (u32 d = 0; d < dim_; ++d) {
-                p[d] = rb.outCoords[q][d] * static_cast<i32>(stride_) +
-                       offsets_[o][d];
+                lo[d] = out.coord(d) * stride_ + offsets_[g][d];
+                in_range = in_range && (d == last || fitsI32(lo[d]));
             }
-            auto it = in_index.find(p);
-            if (it != in_index.end())
-                rb.pairs[o].push_back({it->second, q});
+            const i64 base = lo[last];
+            std::array<i64, 3> hi = lo;
+            hi[last] = std::min<i64>(base + width - 1,
+                                     std::numeric_limits<i32>::max());
+            lo[last] = std::max<i64>(base, std::numeric_limits<i32>::min());
+            if (!in_range)
+                continue;
+            const SiteKey from = siteKey(lo, 0);
+            const SiteKey to = siteKey(hi, kNone);
+            while (cursor < n && in[cursor] < from)
+                ++cursor;
+            for (u32 k = cursor; k < n && !(to < in[k]); ++k) {
+                auto w = static_cast<u32>(in[k].coord(last) - base);
+                match[u64(w) * n_out + out.site()] = in[k].site();
+                ++found[w];
+            }
+        }
+        for (u32 w = 0; w < kernel_; ++w) {
+            auto& pairs = rb.pairs[g + w];
+            pairs.resize(found[w]);
+            const u32* window = match.data() + u64(w) * n_out;
+            // Branch-free compaction: the slot is overwritten until a
+            // match claims it.
+            for (u32 q = 0, k = 0; k < found[w]; ++q) {
+                pairs[k] = {window[q], q};
+                k += window[q] != kNone;
+            }
         }
     }
     return rb;
@@ -256,35 +371,49 @@ RulebookCache::chain(const std::vector<std::array<i32, 3>>& coords,
 {
     u64 key = fingerprint(coords);
     if (auto it = index_.find(key); it != index_.end()) {
-        ++hits_;
-        WACO_COUNT("rulebook.hits", 1);
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return lru_.front().chain;
+        if (it->second->coords == coords) {
+            ++hits_;
+            WACO_COUNT("rulebook.hits", 1);
+            lru_.splice(lru_.begin(), lru_, it->second);
+            return lru_.front().chain;
+        }
+        // A fingerprint collision: the new pattern replaces the old one.
+        erase(it->second);
     }
 
     ++misses_;
     WACO_COUNT("rulebook.misses", 1);
     Entry e;
-    e.key = key;
-    e.chain.reserve(convs.size());
-    const std::vector<std::array<i32, 3>>* cur = &coords;
-    for (auto& conv : convs) {
-        e.chain.push_back(conv.buildRulebook(*cur));
-        cur = &e.chain.back().outCoords;
+    {
+        WACO_SPAN("nn.rulebook");
+        e.key = key;
+        e.coords = coords;
+        e.chain.reserve(convs.size());
+        const std::vector<std::array<i32, 3>>* cur = &coords;
+        for (auto& conv : convs) {
+            e.chain.push_back(conv.buildRulebook(*cur));
+            cur = &e.chain.back().outCoords;
+        }
     }
+    e.entries = coords.size();
     for (const auto& rb : e.chain)
-        e.pairEntries += rb.pairCount();
-    totalPairs_ += e.pairEntries;
+        e.entries += rb.pairCount();
+    totalEntries_ += e.entries;
     lru_.push_front(std::move(e));
     index_[key] = lru_.begin();
-    while (totalPairs_ > pairBudget_ && lru_.size() > 1) {
-        totalPairs_ -= lru_.back().pairEntries;
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
-        ++evictions_;
-        WACO_COUNT("rulebook.evictions", 1);
-    }
+    while (totalEntries_ > budget_ && lru_.size() > 1)
+        erase(std::prev(lru_.end()));
     return lru_.front().chain;
+}
+
+void
+RulebookCache::erase(std::list<Entry>::iterator it)
+{
+    totalEntries_ -= it->entries;
+    index_.erase(it->key);
+    lru_.erase(it);
+    ++evictions_;
+    WACO_COUNT("rulebook.evictions", 1);
 }
 
 void
@@ -292,7 +421,7 @@ RulebookCache::clear()
 {
     lru_.clear();
     index_.clear();
-    totalPairs_ = 0;
+    totalEntries_ = 0;
 }
 
 Mat

@@ -18,11 +18,18 @@
  *
  * The forward pass is split into two phases:
  *
- *  1. buildRulebook(): coordinate hash maps -> output sites + per-offset
- *     (input site, output site) pair lists. This depends only on the input
- *     coordinates, never on features or weights, so a RulebookCache reuses
- *     it across every forward over the same pattern — all epochs of
- *     training and every tuner query re-walking the same conv stack.
+ *  1. buildRulebook(): a sort-merge over the coordinates (the co-iteration
+ *     of two sorted coordinate streams, as in MinkowskiEngine's kernel
+ *     map). The input sites are sorted once; strided output sites are
+ *     the sort-unique coarse cells, numbered in first-occurrence order;
+ *     then one linear merge per group of offsets that differ only in the
+ *     last dimension yields the per-offset (input site, output site) pair
+ *     lists. Input sites must be duplicate-free (and a 2-D site's third
+ *     coordinate zero), which SparseMap guarantees by construction. This
+ *     depends only on the input coordinates, never on features or
+ *     weights, so a RulebookCache reuses it across every forward over the
+ *     same pattern — all epochs of training and every tuner query
+ *     re-walking the same conv stack.
  *  2. forward(in, rulebook): gather -> GEMM -> scatter per offset. Pair
  *     lists are sorted by output site, so the execute step can split them
  *     at output-site boundaries and scatter from per-thread accumulators
@@ -92,7 +99,12 @@ class SparseConv
     u32 inChannels() const { return inCh_; }
     u32 outChannels() const { return outCh_; }
 
-    /** Build the gather/scatter geometry for an input coordinate set. */
+    /**
+     * Build the gather/scatter geometry for an input coordinate set.
+     * Output rows are numbered in first-occurrence order of the input
+     * sites. Panics on a duplicate site or a 2-D site whose third
+     * coordinate is nonzero.
+     */
     Rulebook buildRulebook(const std::vector<std::array<i32, 3>>& coords) const;
 
     /**
@@ -128,9 +140,11 @@ class SparseConv
 
 /**
  * Cache of rulebook *chains*: the per-layer rulebooks a conv stack builds
- * for one input coordinate set. Keyed by a coordinate fingerprint, evicted
- * LRU under a total gather-pair budget so one huge pattern cannot pin
- * unbounded memory.
+ * for one input coordinate set. Indexed by a coordinate fingerprint; a hit
+ * also requires the stored input coordinates to equal the query, so a
+ * fingerprint collision is a miss (the new pattern replaces the old one).
+ * Evicted LRU under a budget of gather pairs plus stored input sites, so
+ * one huge pattern cannot pin unbounded memory.
  */
 class RulebookCache
 {
@@ -141,8 +155,9 @@ class RulebookCache
     /**
      * The rulebook chain for @p convs applied to @p coords: chain[l] is
      * convs[l]'s rulebook, each layer consuming the previous layer's
-     * output sites. Built (and cached) on miss. The returned reference is
-     * valid until the next chain() call on this cache.
+     * output sites. Built (and cached) on miss, inside an "nn.rulebook"
+     * trace span. The returned reference is valid until the next chain()
+     * call on this cache.
      */
     const std::vector<Rulebook>& chain(
         const std::vector<std::array<i32, 3>>& coords,
@@ -150,33 +165,39 @@ class RulebookCache
 
     void clear();
 
-    /** Cache hits/misses/evictions since construction. The same events
+    /** Cache hits/misses/evictions since construction (an entry replaced
+     *  after a fingerprint collision counts as evicted). The same events
      *  also feed the process-wide MetricsRegistry counters
      *  "rulebook.hits" / "rulebook.misses" / "rulebook.evictions". */
     u64 hits() const { return hits_; }
     u64 misses() const { return misses_; }
     u64 evictions() const { return evictions_; }
 
-    /** Default gather-pair budget across all cached chains. */
+    /** Default budget across all cached chains, in gather pairs plus
+     *  stored input sites. */
     static constexpr u64 kMaxPairEntries = u64(8) << 20;
 
-    /** Override the gather-pair budget (tests shrink it to force
-     *  eviction). Takes effect on the next chain() insertion. */
-    void setPairBudget(u64 budget) { pairBudget_ = std::max<u64>(1, budget); }
-    u64 pairBudget() const { return pairBudget_; }
+    /** Override the budget (tests shrink it to force eviction). Takes
+     *  effect on the next chain() insertion. */
+    void setPairBudget(u64 budget) { budget_ = std::max<u64>(1, budget); }
+    u64 pairBudget() const { return budget_; }
 
   private:
     struct Entry
     {
         u64 key = 0;
-        u64 pairEntries = 0;
+        u64 entries = 0; ///< Gather pairs + input sites.
+        std::vector<std::array<i32, 3>> coords;
         std::vector<Rulebook> chain;
     };
 
+    /** Drop one entry (eviction or collision replacement). */
+    void erase(std::list<Entry>::iterator it);
+
     std::list<Entry> lru_; ///< Front = most recent.
     std::unordered_map<u64, std::list<Entry>::iterator> index_;
-    u64 totalPairs_ = 0;
-    u64 pairBudget_ = kMaxPairEntries;
+    u64 totalEntries_ = 0;
+    u64 budget_ = kMaxPairEntries;
     u64 hits_ = 0;
     u64 misses_ = 0;
     u64 evictions_ = 0;

@@ -7,6 +7,10 @@
  *    summation order),
  *  - cached-rulebook sparse-conv forward vs a fresh rulebook driven
  *    through the per-pair saxpy reference,
+ *  - the sort-merge rulebook build vs the hash-map reference build, on
+ *    single layers and on 6-layer chains, and vs a brute-force build at
+ *    the i32 extremes; exact rulebook-cache hits under a fingerprint
+ *    collision,
  *  - batched vs scalar generic HNSW search (identical hit sets),
  *  - the float-lane l2 kernel vs the double-precision reference, with a
  *    recall pin,
@@ -15,9 +19,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <unordered_map>
 
 #include "annsearch/hnsw.hpp"
+#include "data/generators.hpp"
 #include "ir/schedule.hpp"
 #include "model/waco_model.hpp"
 #include "nn/sparse_conv.hpp"
@@ -80,20 +88,37 @@ TEST(GemmDifferential, BlockedMatchesNaiveExactlyOnIntegerFloats)
     }
 }
 
-/** Random 2D coordinate cloud without duplicates. */
+/** Hash a D-dimensional integer coordinate. */
+struct CoordHash
+{
+    std::size_t
+    operator()(const std::array<i32, 3>& c) const
+    {
+        u64 h = 0xcbf29ce484222325ull;
+        for (i32 x : c) {
+            h ^= static_cast<u64>(static_cast<u32>(x));
+            h *= 0x100000001b3ull;
+            h ^= h >> 31;
+        }
+        return static_cast<std::size_t>(h);
+    }
+};
+
+using CoordMap = std::unordered_map<std::array<i32, 3>, u32, CoordHash>;
+
+/** Duplicate-free coordinates drawn uniformly from [lo, lo + extent)^dim,
+ *  in draw order (not sorted). */
 std::vector<std::array<i32, 3>>
-randomCoords(u32 n, i32 extent, Rng& rng)
+randomCoords(u32 dim, u32 n, i32 lo, i32 extent, Rng& rng)
 {
     std::vector<std::array<i32, 3>> coords;
-    std::vector<std::vector<bool>> seen(extent,
-                                        std::vector<bool>(extent, false));
+    CoordMap seen;
     while (coords.size() < n) {
-        i32 r = static_cast<i32>(rng.index(extent));
-        i32 c = static_cast<i32>(rng.index(extent));
-        if (seen[r][c])
-            continue;
-        seen[r][c] = true;
-        coords.push_back({r, c, 0});
+        std::array<i32, 3> c = {0, 0, 0};
+        for (u32 d = 0; d < dim; ++d)
+            c[d] = lo + static_cast<i32>(rng.index(static_cast<u64>(extent)));
+        if (seen.emplace(c, 0).second)
+            coords.push_back(c);
     }
     return coords;
 }
@@ -150,7 +175,7 @@ TEST(Rulebook, CachedForwardMatchesLegacyFreshForwardExactly)
 
         nn::SparseMap in;
         in.dim = 2;
-        in.coords = randomCoords(120, 40, rng);
+        in.coords = randomCoords(2, 120, 0, 40, rng);
         in.feats = Mat(in.numSites(), 2);
         fillInts(in.feats, rng);
 
@@ -174,8 +199,8 @@ TEST(Rulebook, CacheReturnsIdenticalChainsAndCountsHits)
     stack.emplace_back(2, 3, 2, 4, 4, rng);
     stack.emplace_back(2, 3, 2, 4, 4, rng);
 
-    auto coords_a = randomCoords(90, 32, rng);
-    auto coords_b = randomCoords(70, 32, rng);
+    auto coords_a = randomCoords(2, 90, 0, 32, rng);
+    auto coords_b = randomCoords(2, 70, 0, 32, rng);
 
     nn::RulebookCache cache;
     auto snapshot = [](const std::vector<nn::Rulebook>& chain) {
@@ -200,6 +225,335 @@ TEST(Rulebook, CacheReturnsIdenticalChainsAndCountsHits)
     EXPECT_EQ(snapshot(cold.chain(coords_a, stack)), first_a);
     EXPECT_EQ(cold.hits(), 0u);
     EXPECT_EQ(cold.misses(), 1u);
+}
+
+/**
+ * Reference rulebook build: one hash probe per (output site, filter
+ * offset). Offsets enumerate the D-dimensional cube with the last
+ * dimension fastest, as SparseConv does.
+ */
+std::vector<std::array<i32, 3>>
+filterOffsets(u32 dim, u32 kernel)
+{
+    i32 half = static_cast<i32>(kernel) / 2;
+    std::vector<std::array<i32, 3>> offsets;
+    std::array<i32, 3> off = {0, 0, 0};
+    auto enumerate = [&](auto&& self, u32 d) -> void {
+        if (d == dim) {
+            offsets.push_back(off);
+            return;
+        }
+        for (i32 x = -half; x <= half; ++x) {
+            off[d] = x;
+            self(self, d + 1);
+        }
+    };
+    enumerate(enumerate, 0);
+    return offsets;
+}
+
+nn::Rulebook
+referenceRulebook(u32 dim, u32 kernel, u32 stride,
+                  const std::vector<std::array<i32, 3>>& coords)
+{
+    auto offsets = filterOffsets(dim, kernel);
+
+    nn::Rulebook rb;
+    rb.inSites = static_cast<u32>(coords.size());
+
+    CoordMap out_index;
+    out_index.reserve(coords.size() * 2);
+
+    if (stride == 1) {
+        rb.outCoords = coords;
+        for (u32 i = 0; i < rb.inSites; ++i)
+            out_index.emplace(coords[i], i);
+    } else {
+        auto floor_div = [](i32 x, i32 s) {
+            return x >= 0 ? x / s : -((-x + s - 1) / s);
+        };
+        for (u32 i = 0; i < rb.inSites; ++i) {
+            std::array<i32, 3> t = {0, 0, 0};
+            for (u32 d = 0; d < dim; ++d)
+                t[d] = floor_div(coords[i][d], static_cast<i32>(stride));
+            if (out_index.emplace(t, static_cast<u32>(rb.outCoords.size()))
+                    .second) {
+                rb.outCoords.push_back(t);
+            }
+        }
+    }
+
+    rb.pairs.assign(offsets.size(), {});
+    CoordMap in_index;
+    in_index.reserve(coords.size() * 2);
+    for (u32 i = 0; i < rb.inSites; ++i)
+        in_index.emplace(coords[i], i);
+
+    for (u32 q = 0; q < rb.outCoords.size(); ++q) {
+        for (std::size_t o = 0; o < offsets.size(); ++o) {
+            std::array<i32, 3> p = {0, 0, 0};
+            for (u32 d = 0; d < dim; ++d) {
+                p[d] = rb.outCoords[q][d] * static_cast<i32>(stride) +
+                       offsets[o][d];
+            }
+            auto it = in_index.find(p);
+            if (it != in_index.end())
+                rb.pairs[o].push_back({it->second, q});
+        }
+    }
+    return rb;
+}
+
+/**
+ * Brute-force rulebook build in 64-bit arithmetic: every (output, offset,
+ * input) triple is compared. Exact where the hash reference's i32 offset
+ * arithmetic would overflow.
+ */
+nn::Rulebook
+bruteForceRulebook(u32 dim, u32 kernel, u32 stride,
+                   const std::vector<std::array<i32, 3>>& coords)
+{
+    auto offsets = filterOffsets(dim, kernel);
+    nn::Rulebook rb;
+    rb.inSites = static_cast<u32>(coords.size());
+    for (const auto& c : coords) {
+        std::array<i32, 3> t = {0, 0, 0};
+        for (u32 d = 0; d < dim; ++d)
+            t[d] = static_cast<i32>(std::floor(double(c[d]) / stride));
+        if (std::find(rb.outCoords.begin(), rb.outCoords.end(), t) ==
+            rb.outCoords.end())
+            rb.outCoords.push_back(t);
+    }
+    rb.pairs.assign(offsets.size(), {});
+    for (u32 q = 0; q < rb.outCoords.size(); ++q) {
+        for (std::size_t o = 0; o < offsets.size(); ++o) {
+            for (u32 p = 0; p < rb.inSites; ++p) {
+                bool hit = true;
+                for (u32 d = 0; d < 3; ++d) {
+                    i64 want = d < dim ? i64(rb.outCoords[q][d]) * stride +
+                                             offsets[o][d]
+                                       : 0;
+                    hit = hit && coords[p][d] == want;
+                }
+                if (hit)
+                    rb.pairs[o].push_back({p, q});
+            }
+        }
+    }
+    return rb;
+}
+
+/** Field-for-field rulebook equality with a readable failure. */
+void
+expectSameRulebook(const nn::Rulebook& got, const nn::Rulebook& want,
+                   const std::string& what)
+{
+    EXPECT_EQ(got.inSites, want.inSites) << what;
+    EXPECT_EQ(got.outCoords, want.outCoords) << what;
+    ASSERT_EQ(got.pairs.size(), want.pairs.size()) << what;
+    for (std::size_t o = 0; o < want.pairs.size(); ++o)
+        EXPECT_EQ(got.pairs[o], want.pairs[o]) << what << " offset " << o;
+}
+
+/** Every site of the cube [lo, lo + edge)^dim, shuffled. */
+std::vector<std::array<i32, 3>>
+denseBlock(u32 dim, i32 lo, i32 edge, Rng& rng)
+{
+    std::vector<std::array<i32, 3>> coords;
+    for (i32 x = 0; x < edge; ++x)
+        for (i32 y = 0; y < edge; ++y)
+            for (i32 z = 0; z < (dim == 3 ? edge : 1); ++z)
+                coords.push_back(
+                    {lo + x, lo + y, dim == 3 ? lo + z : 0});
+    rng.shuffle(coords);
+    return coords;
+}
+
+/** Conv-site coordinates of every stored nonzero of @p in. */
+std::vector<std::array<i32, 3>>
+inputSites(const SparseInput& in)
+{
+    std::vector<std::array<i32, 3>> coords;
+    for (u64 n = 0; n < in.nnz(); ++n) {
+        auto c = in.coord(n);
+        coords.push_back({static_cast<i32>(c[0]), static_cast<i32>(c[1]),
+                          static_cast<i32>(c[2])});
+    }
+    return coords;
+}
+
+TEST(Rulebook, SortMergeBuildMatchesHashReference)
+{
+    Rng rng(23);
+    for (u32 dim : {2u, 3u}) {
+        std::vector<std::pair<std::string, std::vector<std::array<i32, 3>>>>
+            patterns;
+        patterns.push_back({"empty", {}});
+        patterns.push_back({"single", {{3, 5, dim == 3 ? 7 : 0}}});
+        patterns.push_back({"origin", randomCoords(dim, 40, 0, 8, rng)});
+        patterns.push_back({"negative", randomCoords(dim, 150, -20, 30, rng)});
+        patterns.push_back(
+            {"beyond 2^21", randomCoords(dim, 150, (1 << 21) - 9, 24, rng)});
+        patterns.push_back(
+            {"near 2^30", randomCoords(dim, 60, (1 << 30) - 7, 1 << 12, rng)});
+        patterns.push_back({"dense block", denseBlock(dim, -3, 8, rng)});
+        for (u32 kernel : {3u, 5u}) {
+            for (u32 stride : {1u, 2u}) {
+                nn::SparseConv conv(dim, kernel, stride, 1, 1, rng);
+                for (const auto& [name, coords] : patterns) {
+                    std::string what = name + " dim " + std::to_string(dim) +
+                                       " kernel " + std::to_string(kernel) +
+                                       " stride " + std::to_string(stride);
+                    expectSameRulebook(
+                        conv.buildRulebook(coords),
+                        referenceRulebook(dim, kernel, stride, coords), what);
+                }
+            }
+        }
+    }
+    // A dense block really exercises many pairs per output: along each
+    // axis of an 8-wide block, 8 + 2 * 7 site pairs lie within distance 1.
+    nn::SparseConv conv(2, 3, 1, 1, 1, rng);
+    EXPECT_EQ(conv.buildRulebook(denseBlock(2, 0, 8, rng)).pairCount(),
+              u64(22 * 22));
+}
+
+TEST(Rulebook, SortMergeIsExactAtTheI32Extremes)
+{
+    // Windows that cross the i32 range: the hash reference's offset
+    // arithmetic overflows there, so compare against the brute force.
+    const i32 lo = std::numeric_limits<i32>::min();
+    const i32 hi = std::numeric_limits<i32>::max();
+    const std::vector<i32> values = {lo, lo + 1, lo + 3, -1, 0,
+                                     hi - 2, hi - 1, hi};
+    Rng rng(27);
+    for (u32 dim : {2u, 3u}) {
+        std::vector<std::array<i32, 3>> coords;
+        for (i32 x : values)
+            for (i32 y : values)
+                for (i32 z : dim == 3 ? values : std::vector<i32>{0})
+                    coords.push_back({x, y, z});
+        rng.shuffle(coords);
+        for (u32 kernel : {3u, 5u}) {
+            for (u32 stride : {1u, 2u}) {
+                nn::SparseConv conv(dim, kernel, stride, 1, 1, rng);
+                expectSameRulebook(
+                    conv.buildRulebook(coords),
+                    bruteForceRulebook(dim, kernel, stride, coords),
+                    "dim " + std::to_string(dim) + " kernel " +
+                        std::to_string(kernel) + " stride " +
+                        std::to_string(stride));
+            }
+        }
+    }
+}
+
+TEST(Rulebook, SortMergeChainsMatchHashReference)
+{
+    Rng rng(24);
+    std::vector<std::pair<std::string, SparseMatrix>> matrices;
+    matrices.push_back({"banded", genBanded(600, 600, 9, 0.6, rng)});
+    matrices.push_back({"dense blocks", genDenseBlocks(700, 500, 8, 30, 0.8,
+                                                       rng)});
+    auto tensor = genTensor3(40, 50, 60, 3000, rng);
+
+    auto check = [&](u32 dim, const std::vector<std::array<i32, 3>>& coords,
+                     const std::string& name) {
+        // The WACONet stack: a 5x5 submanifold layer, then strided 3x3.
+        std::vector<nn::SparseConv> convs;
+        convs.emplace_back(dim, 5, 1, 1, 4, rng);
+        for (int l = 1; l < 6; ++l)
+            convs.emplace_back(dim, 3, 2, 4, 4, rng);
+        nn::RulebookCache cache;
+        const auto& chain = cache.chain(coords, convs);
+        ASSERT_EQ(chain.size(), convs.size()) << name;
+        const std::vector<std::array<i32, 3>>* cur = &coords;
+        for (std::size_t l = 0; l < chain.size(); ++l) {
+            auto want = referenceRulebook(dim, l == 0 ? 5 : 3,
+                                          l == 0 ? 1 : 2, *cur);
+            expectSameRulebook(chain[l], want,
+                               name + " layer " + std::to_string(l));
+            cur = &chain[l].outCoords;
+        }
+    };
+    for (const auto& [name, m] : matrices)
+        check(2, inputSites(m), name);
+    check(3, inputSites(tensor), "tensor3");
+}
+
+TEST(Rulebook, DuplicateSitePanics)
+{
+    Rng rng(25);
+    nn::SparseConv conv(2, 3, 1, 1, 1, rng);
+    EXPECT_THROW(conv.buildRulebook({{1, 2, 0}, {3, 4, 0}, {1, 2, 0}}),
+                 PanicError);
+    nn::SparseConv conv3(3, 3, 2, 1, 1, rng);
+    EXPECT_THROW(conv3.buildRulebook({{-5, 0, 9}, {-5, 0, 9}}), PanicError);
+    // Distinct 3-D sites that differ only in the third coordinate are fine.
+    EXPECT_NO_THROW(conv3.buildRulebook({{-5, 0, 9}, {-5, 0, 10}}));
+}
+
+TEST(Rulebook, CacheHitRequiresEqualCoordinates)
+{
+    // Two equal-size coordinate sets with the same 64-bit fingerprint.
+    // The fingerprint is FNV-1a over the coordinate words; draw the last
+    // site's first word a at random until the state after it,
+    // (h0 ^ a) * P, repeats in its high 32 bits (a birthday search, ~2^16
+    // draws), then pick the second word so the full states meet.
+    const u64 kPrime = 0x100000001b3ull;
+    std::vector<std::array<i32, 3>> base = {{1, 2, 0}, {4, 8, 0}, {9, 3, 0}};
+    const u64 size = base.size() + 1;
+    u64 h0 = 0xcbf29ce484222325ull ^ size;
+    for (const auto& c : base) {
+        for (i32 x : c) {
+            h0 ^= static_cast<u64>(static_cast<u32>(x));
+            h0 *= kPrime;
+        }
+    }
+    Rng rng(26);
+    std::unordered_map<u32, u32> seen;
+    u32 a = 0, a2 = 0;
+    for (int draw = 0; draw < (1 << 22) && a == a2; ++draw) {
+        auto x = static_cast<u32>(rng.uniformInt(1 << 10, 0xffffffffll));
+        auto [it, fresh] =
+            seen.emplace(static_cast<u32>(((h0 ^ x) * kPrime) >> 32), x);
+        if (!fresh && it->second != x) {
+            a = it->second;
+            a2 = x;
+        }
+    }
+    ASSERT_NE(a, a2) << "birthday search found no collision";
+    u32 b2 = static_cast<u32>((h0 ^ a) * kPrime) ^
+             static_cast<u32>((h0 ^ a2) * kPrime);
+    auto set_a = base, set_b = base;
+    set_a.push_back({static_cast<i32>(a), 0, 0});
+    set_b.push_back({static_cast<i32>(a2), static_cast<i32>(b2), 0});
+    ASSERT_NE(set_a, set_b);
+    ASSERT_EQ(nn::RulebookCache::fingerprint(set_a),
+              nn::RulebookCache::fingerprint(set_b));
+
+    std::vector<nn::SparseConv> convs;
+    convs.emplace_back(2, 3, 1, 1, 2, rng);
+    convs.emplace_back(2, 3, 2, 2, 2, rng);
+    nn::RulebookCache cache;
+    EXPECT_EQ(cache.chain(set_a, convs)[0].outCoords, set_a);
+    // Same fingerprint, different pattern: a miss that returns set_b's own
+    // geometry, not set_a's.
+    const auto& chain_b = cache.chain(set_b, convs);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(chain_b[0].outCoords, set_b);
+    nn::RulebookCache cold;
+    const auto& fresh_b = cold.chain(set_b, convs);
+    ASSERT_EQ(chain_b.size(), fresh_b.size());
+    for (std::size_t l = 0; l < fresh_b.size(); ++l) {
+        expectSameRulebook(chain_b[l], fresh_b[l],
+                           "layer " + std::to_string(l));
+    }
+    // set_b replaced set_a; re-querying set_b is an exact hit.
+    EXPECT_EQ(cache.chain(set_b, convs)[0].outCoords, set_b);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.evictions(), 1u);
 }
 
 TEST(HnswBatched, ReturnsIdenticalHitsAndEvalsToScalarSearch)
@@ -299,7 +653,7 @@ TEST(PredictorBatch, ScoreEmbeddingsMatchesTrainingPathAndBatchSplits)
         batch.push_back(space.sample(rng));
 
     std::vector<Triplet> nz;
-    for (const auto& c : randomCoords(50, 64, rng))
+    for (const auto& c : randomCoords(2, 50, 0, 64, rng))
         nz.push_back({static_cast<u32>(c[0]), static_cast<u32>(c[1]), 1.0f});
     SparseMatrix m(64, 64, std::move(nz));
 

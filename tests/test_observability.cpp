@@ -13,6 +13,8 @@
  *    byte-identical;
  *  - deterministic end-to-end smoke: tune() with tracing on produces the
  *    expected phase spans AND a bitwise-identical outcome to tracing off;
+ *    the rulebook build shows as one nn.rulebook span under model.extract
+ *    on a first sighting and not at all on a repeat;
  *  - RulebookCache hit/miss/eviction counters through the registry under a
  *    tight gather-pair budget.
  *
@@ -468,6 +470,9 @@ TEST_F(ObservabilityTest, TunePipelineTracedVsUntracedIsIdentical)
     auto model_extract = named(spans, "model.extract");
     ASSERT_EQ(model_extract.size(), 1u);
     EXPECT_EQ(model_extract[0].parent, extract[0].id);
+    // The untraced tune built this matrix's rulebook chain, so the repeat
+    // hits the cache and builds none.
+    EXPECT_TRUE(named(spans, "nn.rulebook").empty());
     auto measure_calls = named(spans, "measure.call");
     ASSERT_GE(measure_calls.size(), 1u);
     for (const auto& mc : measure_calls)
@@ -484,6 +489,25 @@ TEST_F(ObservabilityTest, TunePipelineTracedVsUntracedIsIdentical)
     std::string json = trace::serializeChromeTrace(spans);
     EXPECT_EQ(trace::serializeChromeTrace(trace::parseChromeTrace(json)),
               json);
+
+    // A first sighting builds the rulebook chain exactly once, inside the
+    // extractor; a repeat of the same matrix builds none.
+    auto fresh = genBanded(320, 320, 6, 0.7, rng);
+    for (u64 want : {1u, 0u}) {
+        trace::clear();
+        trace::setEnabled(true);
+        tuner.tune(fresh);
+        trace::setEnabled(false);
+        auto fresh_spans = trace::snapshot();
+        checkSpanInvariants(fresh_spans);
+        auto rulebook = named(fresh_spans, "nn.rulebook");
+        auto fresh_extract = named(fresh_spans, "model.extract");
+        ASSERT_EQ(rulebook.size(), want);
+        ASSERT_EQ(fresh_extract.size(), 1u);
+        if (want == 1) {
+            EXPECT_EQ(rulebook[0].parent, fresh_extract[0].id);
+        }
+    }
 }
 
 TEST_F(ObservabilityTest, RulebookCacheEvictionCounters)

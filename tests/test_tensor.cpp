@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the canonical COO types and CSR conversion.
+ * Unit tests for the canonical COO types and the pattern key.
  */
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "tensor/coo.hpp"
-#include "tensor/csr.hpp"
 #include "util/rng.hpp"
 
 namespace waco {
@@ -122,15 +121,6 @@ TEST(PatternKey, GoldenValue)
     // between processes, builds or hosts.
     SparseMatrix m(3, 5, {{0, 4, 1.f}, {2, 1, 2.f}, {1, 1, 3.f}});
     EXPECT_EQ(patternKey(m), 0x0cbf1f8d3ced09e6ull);
-}
-
-TEST(Csr, MatchesCoo)
-{
-    SparseMatrix m(3, 4, {{0, 1, 1.f}, {0, 3, 2.f}, {2, 0, 3.f}});
-    Csr csr(m);
-    EXPECT_EQ(csr.rowPtr(), (std::vector<u64>{0, 2, 2, 3}));
-    EXPECT_EQ(csr.colIdx(), (std::vector<u32>{1, 3, 0}));
-    EXPECT_FLOAT_EQ(csr.values()[2], 3.0f);
 }
 
 TEST(Sparse3Tensor, SortsAndDeduplicates)
