@@ -12,12 +12,12 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
-#include <thread>
 
 #include "codegen/kernel_backend.hpp"
 #include "common.hpp"
 #include "data/generators.hpp"
 #include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 using namespace waco;
@@ -228,8 +228,8 @@ makeNestHolder(Algorithm alg, bool large)
         h->args.matC = &h->c;
     if (h->f.rows())
         h->args.matF = &h->f;
-    u32 hw = std::max(1u, std::thread::hardware_concurrency());
-    h->par = ParallelConfig{std::min(std::max(1u, s.numThreads), hw),
+    h->par = ParallelConfig{std::min(std::max(1u, s.numThreads),
+                                     hardwareThreads()),
                             std::max(1u, s.ompChunk)};
     return h;
 }

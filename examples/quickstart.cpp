@@ -109,8 +109,10 @@ main(int argc, char** argv)
     std::printf("result check vs reference: max|err| = %.2e\n",
                 maxAbsDiff(reference, y));
 
-    // Show the TACO-style C code the chosen schedule corresponds to.
+    // Show the C kernel the compiled backend builds for this schedule.
+    KernelEmitOptions eo;
+    eo.inputRowMajor = inputRowMajorOf(outcome.best);
     std::printf("\ngenerated C for the chosen schedule:\n%s",
-                emitC(outcome.best, shape).c_str());
+                emitKernelC(lower(outcome.best, shape), eo).c_str());
     return 0;
 }

@@ -2,7 +2,7 @@
  * @file
  * Command-line tuner: point it at a MatrixMarket file (or let it generate
  * a demo matrix), pick an algorithm, and get back the co-optimized format
- * + schedule, the TACO-style C code implementing it, and the expected
+ * + schedule, the C kernel implementing it, and the expected
  * speedup on the modelled machine.
  *
  * The fault-injection flags drive the whole fault-tolerance layer end to
@@ -42,6 +42,9 @@
  *          [--no-asym-filter]
  *          [--serve] [--deadline-ms N] [--max-queue N]
  *          [--cache-journal FILE]
+ *          [--backend interp|compiled]
+ *          [--emit-out DIR] (writes DIR/<alg>_kernel.c, the kernel the
+ *                            compiled backend builds for the schedule)
  */
 #include <cstdio>
 #include <cstdlib>
@@ -83,46 +86,32 @@ usage(const char* argv0)
                  "          [--no-asym-filter]\n"
                  "          [--serve] [--deadline-ms N] [--max-queue N]\n"
                  "          [--cache-journal FILE]\n"
-                 "          [--backend interp|compiled] [--emit-out DIR]\n",
+                 "          [--backend interp|compiled]\n"
+                 "          [--emit-out DIR]  (writes DIR/<alg>_kernel.c)\n",
                  argv0);
     std::exit(2);
 }
 
-/** The layouts the schedule chose for the dense INPUT operands, in
- *  KernelEmitOptions::inputRowMajor order (outputs skipped). */
-std::vector<bool>
-scheduleInputLayouts(const SuperSchedule& s)
+/** The C translation unit the JIT backend compiles for @p s. */
+std::string
+kernelSourceFor(const SuperSchedule& s, const ProblemShape& shape)
 {
-    const AlgorithmInfo& info = algorithmInfo(s.alg);
-    std::vector<bool> layouts;
-    for (std::size_t op = 0; op < info.denseOperands.size(); ++op) {
-        const DenseOperand& d = info.denseOperands[op];
-        if (d.isOutput)
-            continue;
-        layouts.push_back(d.layoutFixed || s.denseRowMajor.size() <= op
-                              ? d.rowMajorDefault
-                              : static_cast<bool>(s.denseRowMajor[op]));
-    }
-    return layouts;
+    LoopNest nest = lower(s, shape);
+    KernelEmitOptions kopt;
+    kopt.inputRowMajor = inputRowMajorOf(s);
+    kopt.cacheKey = kernelCacheKey(nest, kopt.inputRowMajor);
+    return emitKernelC(nest, kopt);
 }
 
-/** Dump both emitters' output for @p s into @p dir: the compilable
- *  kernel TU (what the JIT backend feeds the C compiler) and the
- *  TACO-style pretty-printed nest. */
+/** Write the kernel for @p s to @p dir/<alg>_kernel.c. */
 void
 emitSourcesTo(const std::string& dir, const SuperSchedule& s,
               const ProblemShape& shape)
 {
     std::filesystem::create_directories(dir);
-    LoopNest nest = lower(s, shape);
-    KernelEmitOptions kopt;
-    kopt.inputRowMajor = scheduleInputLayouts(s);
-    kopt.cacheKey = kernelCacheKey(nest, kopt.inputRowMajor);
-    const std::string base = dir + "/" + algorithmName(s.alg);
-    std::ofstream(base + "_kernel.c") << emitKernelC(nest, kopt);
-    std::ofstream(base + "_taco.c") << emitC(nest, s.numThreads, s.key());
-    std::printf("wrote %s_kernel.c and %s_taco.c\n", base.c_str(),
-                base.c_str());
+    const std::string path = dir + "/" + algorithmName(s.alg) + "_kernel.c";
+    std::ofstream(path) << kernelSourceFor(s, shape);
+    std::printf("wrote %s\n", path.c_str());
 }
 
 } // namespace
@@ -485,8 +474,8 @@ run(int argc, char** argv)
     }
     if (!emit_dir.empty())
         emitSourcesTo(emit_dir, outcome.best, shape);
-    std::printf("\n--- generated C (TACO-style) ---\n%s",
-                emitC(outcome.best, shape).c_str());
+    std::printf("\n--- generated C (the compiled kernel) ---\n%s",
+                kernelSourceFor(outcome.best, shape).c_str());
     if (!trace_path.empty()) {
         trace::writeChromeTrace(trace_path);
         std::printf("\nwrote Chrome trace to %s (chrome://tracing)\n",

@@ -251,11 +251,7 @@ checkPerfNotes(const SuperSchedule& s, DiagnosticBag& bag)
                             ops_idx.end();
                 if (!uses || ops_idx.size() < 2)
                     continue;
-                // Effective layout: fixed operands always use the paper's
-                // choice, whatever the schedule flag says (the cost model
-                // applies the same override).
-                bool row_major = operand.layoutFixed ? operand.rowMajorDefault
-                                                     : s.denseRowMajor[op];
+                bool row_major = denseRowMajorOf(s, op);
                 bool contiguous = row_major ? ops_idx.back() == idx
                                             : ops_idx.front() == idx;
                 if (!contiguous) {

@@ -8,25 +8,6 @@ namespace waco {
 
 namespace {
 
-/** The compute statement of each kernel, in terms of full index names. */
-std::string
-computeStatement(Algorithm alg)
-{
-    switch (alg) {
-      case Algorithm::SpMV:
-        return "C[i] += A_vals[pA] * B[k];";
-      case Algorithm::SpMM:
-        return "C[i * J + j] += A_vals[pA] * B[k * J + j];";
-      case Algorithm::SDDMM:
-        return "D_vals[pA] += A_vals[pA] * B[i * K + k] * C[k * J + j];";
-      case Algorithm::MTTKRP:
-        return "D[i * J + j] += A_vals[pA] * B[k * J + j] * C[l * J + j];";
-      case Algorithm::FusedSDDMMSpMM:
-        break; // fused nests print two phase statements, not one
-    }
-    panic("unknown algorithm");
-}
-
 std::string
 posVar(u32 level)
 {
@@ -51,202 +32,6 @@ levelExtent(const LoopNest& nest, u32 level)
                ? split
                : ceilDiv(nest.shape().indexExtent[idx], split);
 }
-
-/** `pL = parent * extent + coord` for U levels (level 0 has no parent). */
-std::string
-uPosExpr(const LoopNest& nest, u32 level, const std::string& coord)
-{
-    if (level == 0)
-        return coord;
-    return parentPos(level) + " * " + std::to_string(levelExtent(nest, level)) +
-           " + " + coord;
-}
-
-} // namespace
-
-std::string
-emitC(const LoopNest& nest, u32 numThreads, const std::string& scheduleKey)
-{
-#ifndef NDEBUG
-    // The emitter prints whatever nest it is handed; make sure a fromRaw
-    // nest cannot turn into plausible-looking C that would mis-execute.
-    {
-        auto diags = analysis::verifyLoopNest(nest);
-        fatalIf(diags.hasErrors(),
-                "emitC: invalid loop nest:\n" + diags.format());
-    }
-#endif
-    const auto& info = algorithmInfo(nest.alg());
-    std::ostringstream os;
-
-    os << "// " << algorithmName(nest.alg()) << ": " << info.einsum << "\n";
-    os << "// A stored as ";
-    for (u32 l = 0; l < nest.numLevels(); ++l)
-        os << (nest.levelFormat(l) == LevelFormat::Uncompressed ? 'U' : 'C');
-    os << "(";
-    for (u32 l = 0; l < nest.numLevels(); ++l)
-        os << (l ? "," : "") << nest.slotVarName(nest.levelSlot(l));
-    os << ")\n";
-    if (!scheduleKey.empty()) {
-        os << "// generated for a SuperSchedule with key\n";
-        os << "//   " << scheduleKey << "\n";
-    }
-
-    std::string indent;
-
-    // One loop header (+ position bookkeeping and locate drains), shared by
-    // the single-expression path and both phases of a fused nest.
-    auto emit_loop = [&](const LoopNode& n) {
-        std::string var = nest.slotVarName(n.slot);
-
-        if (n.parallel) {
-            os << indent << "#pragma omp parallel for schedule(dynamic, "
-               << n.chunk << ") num_threads(" << numThreads << ")\n";
-        }
-
-        if (n.kind == LoopKind::Dense) {
-            os << indent << "for (int " << var << " = 0; " << var << " < "
-               << n.extent << "; " << var << "++) {";
-            if (n.level >= 0)
-                os << "  // discordant with A's level order";
-            os << "\n";
-        } else if (nest.levelFormat(n.level) ==
-                   LevelFormat::Uncompressed) {
-            u32 lv = static_cast<u32>(n.level);
-            os << indent << "for (int " << var << " = 0; " << var << " < "
-               << n.extent << "; " << var << "++) {"
-               << "  // A level " << lv << ": U\n";
-            os << indent << "    int " << posVar(lv) << " = "
-               << uPosExpr(nest, lv, var) << ";\n";
-        } else {
-            u32 lv = static_cast<u32>(n.level);
-            std::string L = std::to_string(lv);
-            std::string p = posVar(lv);
-            os << indent << "for (int " << p << " = A" << L << "_pos["
-               << (lv == 0 ? "0" : parentPos(lv)) << "]; " << p << " < A"
-               << L << "_pos["
-               << (lv == 0 ? "1" : parentPos(lv) + " + 1") << "]; " << p
-               << "++) {  // A level " << L << ": C\n";
-            os << indent << "    int " << var << " = A" << L << "_crd[" << p
-               << "];\n";
-        }
-
-        for (const LocateStep& ls : n.locates) {
-            std::string L = std::to_string(ls.level);
-            std::string p = posVar(ls.level);
-            std::string lvar = nest.slotVarName(ls.slot);
-            if (ls.binarySearch) {
-                os << indent << "    // discordant: locate " << lvar
-                   << " in A level " << L
-                   << " via binary search over A" << L << "_crd\n";
-                os << indent << "    int " << p << " = waco_search(A" << L
-                   << "_crd, A" << L << "_pos[" << parentPos(ls.level)
-                   << "], A" << L << "_pos[" << parentPos(ls.level)
-                   << " + 1], " << lvar << ");\n";
-                os << indent << "    if (" << p << " < 0) continue;\n";
-            } else {
-                os << indent << "    // discordant: locate " << lvar
-                   << " in A level " << L << " via direct offset\n";
-                os << indent << "    int " << p << " = "
-                   << uPosExpr(nest, ls.level, lvar) << ";\n";
-            }
-        }
-        indent += "    ";
-    };
-
-    auto close_loops = [&](std::size_t count) {
-        while (count-- > 0) {
-            indent.resize(indent.size() - 4);
-            os << indent << "}\n";
-        }
-    };
-
-    // Recombine split coordinates for the indices selected by @p wanted.
-    auto emit_splits = [&](const std::array<bool, 4>& wanted) {
-        for (u32 idx = 0; idx < info.numIndices; ++idx) {
-            u32 split = nest.splitOf(idx);
-            if (wanted[idx] && split > 1) {
-                os << indent << "int " << info.indexNames[idx] << " = "
-                   << info.indexNames[idx] << "1 * " << split << " + "
-                   << info.indexNames[idx] << "0;\n";
-            }
-        }
-    };
-
-    auto emit_pa = [&]() {
-        os << indent << "int pA = " << posVar(nest.numLevels() - 1)
-           << ";  // position of the current A value\n";
-    };
-
-    if (!nest.fused()) {
-        for (const LoopNode& n : nest.loops())
-            emit_loop(n);
-        emit_splits({true, true, true, true});
-        emit_pa();
-        os << indent << computeStatement(nest.alg()) << "\n";
-        close_loops(nest.loops().size());
-        return os.str();
-    }
-
-    // Fused workspace nest: scope prefix, then `init; producer; consumer`
-    // as three statements/blocks inside each scope iteration.
-    const WorkspaceDecl& ws = nest.workspace();
-    const std::size_t scope = ws.scopeDepth;
-    std::array<bool, 4> producer_only = info.producerIndex;
-    std::array<bool, 4> consumer_only = info.consumerIndex;
-    for (u32 idx = 0; idx < info.numIndices; ++idx) {
-        producer_only[idx] = producer_only[idx] && !info.scopeIndex[idx];
-        consumer_only[idx] = consumer_only[idx] && !info.scopeIndex[idx];
-    }
-
-    for (std::size_t d = 0; d < scope; ++d)
-        emit_loop(nest.loops()[d]);
-    emit_splits(info.scopeIndex);
-
-    os << indent << "// workspace over '" << info.indexNames[ws.index]
-       << "': init phase\n";
-    os << indent << "float w[" << ws.extent << "];\n";
-    os << indent << "for (int _w = 0; _w < " << ws.extent
-       << "; _w++) w[_w] = 0.0f;\n";
-
-    os << indent << "// producer phase: accumulate the dense inner product\n";
-    for (std::size_t d = scope; d < nest.loops().size(); ++d)
-        emit_loop(nest.loops()[d]);
-    emit_splits(producer_only);
-    os << indent << "w[j] += B[i * K + k] * C[k * J + j];\n";
-    close_loops(nest.loops().size() - scope);
-
-    os << indent << "// consumer phase: scale by A and expand along m\n";
-    for (const LoopNode& n : nest.consumerLoops())
-        emit_loop(n);
-    emit_splits(consumer_only);
-    emit_pa();
-    os << indent << "E[i * M + m] += A_vals[pA] * w[j] * F[j * M + m];\n";
-    close_loops(nest.consumerLoops().size());
-
-    close_loops(scope);
-    return os.str();
-}
-
-std::string
-emitC(const SuperSchedule& s, const ProblemShape& shape)
-{
-    return emitC(lower(s, shape), s.numThreads, s.key());
-}
-
-// ==== Compilable kernel emitter (the JIT backend's frontend) ============
-//
-// emitC above pretty-prints the nest for humans; emitKernelC prints the
-// same nest as a self-contained C translation unit behind the fixed
-// waco_kernel ABI. Both walk the identical IR, but the kernel emitter
-// additionally (a) mirrors the interpreter's floating-point operation
-// order in every leaf so compiled results are bitwise identical, (b)
-// guards ceil-division split padding the way the interpreter's inBounds
-// does — or removes the guard entirely by clamping the ragged tail loop
-// (pass 1), and (c) replaces the fused nests' stack VLA workspace with
-// the caller-provided heap scratch parameter (pass 2).
-
-namespace {
 
 /** Row/column strides of one dense input operand under a fixed layout. */
 struct OpStrides
@@ -842,7 +627,7 @@ KernelEmitter::emit()
 
     // Fused workspace nest: host-chunked scope prefix, then per scope
     // iteration `init; producer; consumer` — the workspace lives in the
-    // hoisted waco_ws scratch instead of emitC's stack VLA (pass 2).
+    // hoisted waco_ws scratch the driver hands each chunk (pass 2).
     const WorkspaceDecl& ws = nest_.workspace();
     const std::size_t scope = ws.scopeDepth;
 

@@ -5,20 +5,21 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include <dlfcn.h>
 #include <unistd.h>
 
 #include "codegen/emit.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace waco {
 
 namespace {
 
-constexpr u32 kMaxAbiLevels = 8; ///< pos/crd slots in WacoKernelArgs.
+/** pos/crd slots in WacoKernelArgs. */
+constexpr u32 kMaxAbiLevels = std::extent_v<decltype(WacoKernelArgs::pos)>;
 
 std::string
 readFile(const std::string& path)
@@ -284,94 +285,18 @@ CompiledBackend::execute(const LoopNest& nest, const LoopNestArgs& args,
         return executeLoopNest(nest, args, par);
     }
 
-    exec_detail::checkLoopNestArgs(nest, args);
     {
         std::lock_guard<std::mutex> slock(statsMu_);
         ++stats_.launches;
     }
     WACO_COUNT("codegen.launches", 1);
-
-    const HierSparseTensor& a = *args.a;
-    const auto& ext = nest.shape().indexExtent;
-
-    WacoKernelArgs ka;
-    for (u32 l = 0; l < nest.numLevels(); ++l) {
-        ka.pos[l] = a.levels()[l].pos.data();
-        ka.crd[l] = a.levels()[l].crd.data();
-    }
-    ka.vals = a.values().data();
-
-    LoopNestResult r;
-    std::vector<float> dvals; // SDDMM per-position accumulators
-    switch (nest.alg()) {
-      case Algorithm::SpMV:
-        ka.b = args.vecB->data().data();
-        r.vec = DenseVector(ext[0], 0.0f);
-        ka.out = r.vec.data().data();
-        break;
-      case Algorithm::SpMM:
-        ka.b = args.matB->data().data();
-        r.mat = DenseMatrix(ext[0], ext[2], Layout::RowMajor, 0.0f);
-        ka.out = r.mat.data().data();
-        break;
-      case Algorithm::SDDMM:
-        ka.b = args.matB->data().data();
-        ka.c = args.matC->data().data();
-        dvals.assign(a.storedValues(), 0.0f);
-        ka.out = dvals.data();
-        break;
-      case Algorithm::MTTKRP:
-        ka.b = args.matB->data().data();
-        ka.c = args.matC->data().data();
-        r.mat = DenseMatrix(ext[0], ext[3], Layout::RowMajor, 0.0f);
-        ka.out = r.mat.data().data();
-        break;
-      case Algorithm::FusedSDDMMSpMM:
-        ka.b = args.matB->data().data();
-        ka.c = args.matC->data().data();
-        ka.f = args.matF->data().data();
-        r.mat = DenseMatrix(ext[0], ext[3], Layout::RowMajor, 0.0f);
-        ka.out = r.mat.data().data();
-        break;
-    }
-
     const WacoKernelFn fn = kernel->fn();
-    const u32 wsExtent = nest.fused() ? nest.workspace().extent : 0;
-    auto runRange = [&](u64 b, u64 e) {
-        if (wsExtent > 0) {
-            // Chunk-private workspace, exactly like the interpreter's.
-            std::vector<float> scratch(wsExtent, 0.0f);
-            fn(&ka, static_cast<std::int64_t>(b),
-               static_cast<std::int64_t>(e), scratch.data());
-        } else {
-            fn(&ka, static_cast<std::int64_t>(b),
-               static_cast<std::int64_t>(e), nullptr);
-        }
-    };
-
-    // Mirror the interpreter's chunking decision byte for byte: same
-    // domain, same safety rule, same parallelFor chunk boundaries.
-    auto dom = exec_detail::topLoopDomain(nest, a);
-    if (dom.second > dom.first) {
-        u32 threads = std::max<u32>(1, par.threads);
-        bool safe = exec_detail::topLoopParallelizable(nest);
-        if (threads == 1 || !safe) {
-            runRange(dom.first, dom.second);
-        } else {
-            u64 chunk = std::max<u32>(1, par.chunk);
-            globalPool().ensureWorkers(
-                std::min(threads, ThreadPool::kMaxWorkers + 1) - 1);
-            globalPool().parallelFor(
-                dom.second - dom.first, chunk, threads,
-                [&](u64 b, u64 e) {
-                    runRange(dom.first + b, dom.first + e);
-                });
-        }
-    }
-
-    if (nest.alg() == Algorithm::SDDMM)
-        r.sparse = exec_detail::assembleSddmmOutput(a, dvals);
-    return r;
+    return driveLoopNest(nest, args, par,
+                         [fn](const WacoKernelArgs& buf, u64 begin, u64 end,
+                              float* scratch) {
+                             fn(&buf, static_cast<std::int64_t>(begin),
+                                static_cast<std::int64_t>(end), scratch);
+                         });
 }
 
 CompiledBackendStats

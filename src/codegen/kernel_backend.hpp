@@ -18,10 +18,11 @@
  *    entrypoint, and the function pointer is memoized in an LRU
  *    KernelCache keyed by the nest's structural identity — compiled-code
  *    equivalent of (algorithm, canonicalKey(schedule), shape-class,
- *    dense layouts). Parallelism stays host-driven: the backend chunks
- *    the top loop over the global ThreadPool exactly like the
- *    interpreter and calls the kernel per chunk, so compiled results
- *    are bitwise identical to interpreted ones, serial and parallel.
+ *    dense layouts). Parallelism stays host-driven: execute hands the
+ *    kernel to driveLoopNest, the driver the interpreter runs through
+ *    too, which chunks the top loop over the global ThreadPool and
+ *    calls it per chunk, so compiled results are bitwise identical to
+ *    interpreted ones, serial and parallel.
  *
  * Failure ladder: no compiler found -> compile/dlopen failure (after
  * maxConsecutiveFailures the compiler is quarantined for this backend

@@ -25,34 +25,16 @@
 #include <string>
 #include <unordered_map>
 
-#include "util/common.hpp"
+#include "exec/loopnest_exec.hpp"
 
 namespace waco {
 
 /**
- * C-ABI argument block passed to every generated kernel. One fixed
- * layout for all five algorithms: unused members stay null. pos/crd are
- * indexed by storage level of A (at most 8 levels, matching the
- * interpreter's kMaxLevels).
- */
-struct WacoKernelArgs
-{
-    const u64* pos[8] = {};
-    const u32* crd[8] = {};
-    const float* vals = nullptr; ///< A's stored values.
-    const float* b = nullptr;    ///< Dense operand B (vector or matrix).
-    const float* c = nullptr;    ///< Dense operand C.
-    const float* f = nullptr;    ///< Dense operand F (fused kernel only).
-    float* out = nullptr; ///< Output buffer (dvals for SDDMM).
-};
-
-/**
  * Generated entrypoint: execute the nest for top-loop range
  * [begin, end) — coordinates for a Dense/U outermost loop, absolute crd
- * positions for a Compressed one, exactly the interpreter's chunking
- * domain. The host drives parallelism by calling disjoint ranges from
- * the thread pool; @p scratch is that chunk's private workspace for
- * fused nests (null otherwise).
+ * positions for a Compressed one. driveLoopNest (exec/loopnest_exec.hpp)
+ * calls it once per chunk, exactly as it calls the interpreter; @p scratch
+ * is that chunk's private workspace for fused nests (null otherwise).
  */
 using WacoKernelFn = void (*)(const WacoKernelArgs* args, std::int64_t begin,
                               std::int64_t end, float* scratch);

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <unordered_map>
 
 #include "analysis/asymptotic_cost.hpp"
@@ -23,8 +22,7 @@ WacoTuner::WacoTuner(Algorithm alg, MachineConfig machine, WacoOptions opt)
     // Warm the persistent pool once up front: labeling and tuning issue
     // thousands of small oracle scans and kernel invocations, and the first
     // one should not pay worker-thread creation.
-    u32 hw = std::max(1u, std::thread::hardware_concurrency());
-    globalPool().ensureWorkers(std::min(hw > 1 ? hw - 1 : 0, 8u));
+    globalPool().ensureWorkers(std::min(hardwareThreads() - 1, 8u));
 }
 
 template <typename Input>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/loopnest_verifier.hpp"
@@ -13,7 +14,8 @@ namespace {
 
 std::atomic<u64> g_exec_count{0};
 
-constexpr u32 kMaxLevels = 8;
+/** Storage levels the buffer block (and so the interpreter) carries. */
+constexpr u32 kMaxLevels = std::extent_v<decltype(WacoKernelArgs::pos)>;
 
 /**
  * Flattened per-invocation interpreter state. Trivially copyable: the
@@ -159,52 +161,24 @@ execNode(Ctx& cx, u32 depth, u64 lo, u64 hi, const Leaf& leaf)
     }
 }
 
-/**
- * Execute the whole nest. The outermost loop is chunked over the global
- * pool when its index does not reduce into the output: each chunk then
- * covers disjoint first-level subtrees AND a disjoint output slice (or
- * disjoint A value positions for SDDMM), so parallel execution is
- * race-free and bitwise identical to serial execution. Reduction-major
- * nests run serially, like the legal TACO schedule would.
- */
-template <class Leaf>
-void
-runNest(const LoopNest& nest, const HierSparseTensor& a, const Leaf& leaf,
-        const ParallelConfig& par)
+/** Interpreter state of a walk over the nest's first @p numLoops loops
+ *  (the whole nest, or a fused nest's scope prefix) before any loop binds;
+ *  the leaf (or its fused dense tail) runs at @p tailDepth. */
+Ctx
+protoCtx(const LoopNest& nest, u32 numLoops, u32 tailDepth)
 {
     const auto& info = algorithmInfo(nest.alg());
-    Ctx proto;
-    proto.loops = nest.loops().data();
-    proto.levels = a.levels().data();
-    proto.numLoops = static_cast<u32>(nest.loops().size());
-    proto.tailDepth =
-        nest.leaf().vectorIndex >= 0 ? proto.numLoops - 1 : proto.numLoops;
-    proto.lastLevel = nest.numLevels() - 1;
-    proto.numIndices = info.numIndices;
+    Ctx cx;
+    cx.loops = nest.loops().data();
+    cx.numLoops = numLoops;
+    cx.tailDepth = tailDepth;
+    cx.lastLevel = nest.numLevels() - 1;
+    cx.numIndices = info.numIndices;
     for (u32 idx = 0; idx < info.numIndices; ++idx) {
-        proto.split[idx] = nest.splitOf(idx);
-        proto.bound[idx] = nest.shape().indexExtent[idx];
+        cx.split[idx] = nest.splitOf(idx);
+        cx.bound[idx] = nest.shape().indexExtent[idx];
     }
-
-    const LoopNode& top = nest.loops().front();
-    auto dom = nodeDomain(proto, top);
-    if (dom.second <= dom.first)
-        return;
-    u32 threads = std::max<u32>(1, par.threads);
-    bool safe = !info.isReduction[slotIndex(top.slot)];
-    if (threads == 1 || !safe) {
-        Ctx cx = proto;
-        execNode(cx, 0, dom.first, dom.second, leaf);
-        return;
-    }
-    u64 chunk = std::max<u32>(1, par.chunk);
-    globalPool().ensureWorkers(
-        std::min(threads, ThreadPool::kMaxWorkers + 1) - 1);
-    globalPool().parallelFor(
-        dom.second - dom.first, chunk, threads, [&](u64 b, u64 e) {
-            Ctx cx = proto;
-            execNode(cx, 0, dom.first + b, dom.first + e, leaf);
-        });
+    return cx;
 }
 
 /** Row/column strides of a dense matrix under its runtime layout. */
@@ -249,14 +223,13 @@ struct SpMMLeaf // C[i,j] = A[i,k] * B[k,j]
     const float* bd;
     float* cd;
     Strides bs;
-    u64 crow; ///< Output is row-major: stride J.
-    u64 J;
+    u64 J; ///< Also the row stride of the row-major output.
 
     void
     scalar(const Ctx& cx) const
     {
         u64 j = cx.coord[2];
-        cd[cx.coord[0] * crow + j] +=
+        cd[cx.coord[0] * J + j] +=
             av[valuePos(cx)] * bd[cx.coord[1] * bs.row + j * bs.col];
     }
     void
@@ -264,7 +237,7 @@ struct SpMMLeaf // C[i,j] = A[i,k] * B[k,j]
     {
         float v = av[valuePos(cx)];
         const float* bp = bd + cx.coord[1] * bs.row;
-        float* cp = cd + cx.coord[0] * crow;
+        float* cp = cd + cx.coord[0] * J;
         if (bs.col == 1) {
             for (u64 j = 0; j < J; ++j)
                 cp[j] += v * bp[j];
@@ -327,14 +300,13 @@ struct MTTKRPLeaf // D[i,j] = A[i,k,l] * B[k,j] * C[l,j]
     float* dd;
     Strides bs;
     Strides cs;
-    u64 drow; ///< Output is row-major: stride J.
-    u64 J;
+    u64 J; ///< Also the row stride of the row-major output.
 
     void
     scalar(const Ctx& cx) const
     {
         u64 j = cx.coord[3];
-        dd[cx.coord[0] * drow + j] += av[valuePos(cx)] *
+        dd[cx.coord[0] * J + j] += av[valuePos(cx)] *
                                       bd[cx.coord[1] * bs.row + j * bs.col] *
                                       cd[cx.coord[2] * cs.row + j * cs.col];
     }
@@ -344,7 +316,7 @@ struct MTTKRPLeaf // D[i,j] = A[i,k,l] * B[k,j] * C[l,j]
         float v = av[valuePos(cx)];
         const float* bp = bd + cx.coord[1] * bs.row;
         const float* cp = cd + cx.coord[2] * cs.row;
-        float* dp = dd + cx.coord[0] * drow;
+        float* dp = dd + cx.coord[0] * J;
         if (bs.col == 1 && cs.col == 1) {
             for (u64 j = 0; j < J; ++j)
                 dp[j] += v * bp[j] * cp[j];
@@ -394,15 +366,14 @@ struct FusedConsumerLeaf // E[i,m] += A[i,j] * w[j] * F[j,m]
     const float* fd;
     float* ed;
     Strides fs;
-    u64 erow; ///< Output is row-major: stride M.
-    u64 M;
+    u64 M; ///< Also the row stride of the row-major output.
     const float* ws = nullptr; ///< Chunk-private workspace, set by the driver.
 
     void
     scalar(const Ctx& cx) const
     {
         u64 m = cx.coord[3];
-        ed[cx.coord[0] * erow + m] +=
+        ed[cx.coord[0] * M + m] +=
             av[valuePos(cx)] * ws[cx.coord[1]] *
             fd[cx.coord[1] * fs.row + m * fs.col];
     }
@@ -412,7 +383,7 @@ struct FusedConsumerLeaf // E[i,m] += A[i,j] * w[j] * F[j,m]
         // Padding entries carry av == 0, so they contribute nothing.
         float v = av[valuePos(cx)] * ws[cx.coord[1]];
         const float* fp = fd + cx.coord[1] * fs.row;
-        float* ep = ed + cx.coord[0] * erow;
+        float* ep = ed + cx.coord[0] * M;
         if (fs.col == 1) {
             for (u64 m = 0; m < M; ++m)
                 ep[m] += v * fp[m];
@@ -440,15 +411,14 @@ struct ScopeLeaf
     u32 consNum;
     u32 consTail;
     u32 scope;
-    FusedProducerLeaf prod;
+    u32 wsExtent;
+    FusedProducerLeaf prod; ///< Its ws is the chunk's workspace.
     FusedConsumerLeaf cons;
-    float* ws = nullptr;
-    u32 wsExtent = 0;
 
     void
     scalar(const Ctx& cx) const
     {
-        std::fill(ws, ws + wsExtent, 0.0f);
+        std::fill(prod.ws, prod.ws + wsExtent, 0.0f);
         Ctx px = cx;
         px.loops = prodLoops;
         px.numLoops = prodNum;
@@ -468,82 +438,98 @@ struct ScopeLeaf
 };
 
 /**
- * Execute a fused workspace nest: run the scope prefix as its own nest
- * whose leaf is the producer+consumer fission point. The prefix always
- * binds the (non-reducing) scope index, so it chunks exactly like runNest
- * — and each chunk gets a private workspace vector, keeping parallel
- * execution race-free and bitwise identical to serial execution.
+ * The interpreter's chunk body for driveLoopNest. Everything that depends
+ * only on the nest (the proto Ctx, and for fused nests the materialized
+ * consumer walk) is set up once; each chunk copies it, points the leaf at
+ * the driver's buffers and walks [begin, end) of the top loop. A fused
+ * nest runs its scope prefix as the walk, with ScopeLeaf (the
+ * producer+consumer fission point) as its leaf.
  */
-void
-runFusedNest(const LoopNest& nest, const HierSparseTensor& a,
-             const FusedProducerLeaf& pleaf, const FusedConsumerLeaf& cleaf,
-             const ParallelConfig& par)
+class Interpreter
 {
-    const auto& info = algorithmInfo(nest.alg());
-    const WorkspaceDecl& ws = nest.workspace();
-    const u32 scope = ws.scopeDepth;
-    panicIf(!ws.present || scope == 0 || scope >= nest.loops().size() ||
-                nest.consumerLoops().empty(),
-            "runFusedNest: malformed workspace scope");
+  public:
+    Interpreter(const LoopNest& nest, const LoopNestArgs& args)
+        : nest_(nest), args_(args)
+    {
+        const u32 numLoops = static_cast<u32>(nest.loops().size());
+        if (!nest.fused()) {
+            proto_ = protoCtx(nest, numLoops,
+                              nest.leaf().vectorIndex >= 0 ? numLoops - 1
+                                                           : numLoops);
+            return;
+        }
+        const WorkspaceDecl& ws = nest.workspace();
+        const u32 scope = ws.scopeDepth;
+        panicIf(!ws.present || scope == 0 || scope >= numLoops ||
+                    nest.consumerLoops().empty(),
+                "executeLoopNest: malformed workspace scope");
+        proto_ = protoCtx(nest, scope, scope);
 
-    // Materialize the consumer walk: shared prefix + consumer-phase loops.
-    std::vector<LoopNode> cons_walk(nest.loops().begin(),
-                                    nest.loops().begin() + scope);
-    cons_walk.insert(cons_walk.end(), nest.consumerLoops().begin(),
-                     nest.consumerLoops().end());
-
-    Ctx proto;
-    proto.loops = nest.loops().data();
-    proto.levels = a.levels().data();
-    proto.numLoops = scope; // the prefix is the nest; ScopeLeaf is its leaf
-    proto.tailDepth = scope;
-    proto.lastLevel = nest.numLevels() - 1;
-    proto.numIndices = info.numIndices;
-    for (u32 idx = 0; idx < info.numIndices; ++idx) {
-        proto.split[idx] = nest.splitOf(idx);
-        proto.bound[idx] = nest.shape().indexExtent[idx];
+        // The consumer walk: shared prefix + consumer-phase loops.
+        consWalk_.assign(nest.loops().begin(), nest.loops().begin() + scope);
+        consWalk_.insert(consWalk_.end(), nest.consumerLoops().begin(),
+                         nest.consumerLoops().end());
+        const u32 consNum = static_cast<u32>(consWalk_.size());
+        scope_.prodLoops = nest.loops().data();
+        scope_.prodNum = numLoops;
+        scope_.prodTail =
+            nest.leaf().vectorIndex >= 0 ? numLoops - 1 : numLoops;
+        scope_.consLoops = consWalk_.data();
+        scope_.consNum = consNum;
+        scope_.consTail =
+            nest.consumerLeaf().vectorIndex >= 0 ? consNum - 1 : consNum;
+        scope_.scope = scope;
+        scope_.wsExtent = ws.extent;
     }
 
-    ScopeLeaf proto_leaf;
-    proto_leaf.prodLoops = nest.loops().data();
-    proto_leaf.prodNum = static_cast<u32>(nest.loops().size());
-    proto_leaf.prodTail = nest.leaf().vectorIndex >= 0 ? proto_leaf.prodNum - 1
-                                                       : proto_leaf.prodNum;
-    proto_leaf.consLoops = cons_walk.data();
-    proto_leaf.consNum = static_cast<u32>(cons_walk.size());
-    proto_leaf.consTail = nest.consumerLeaf().vectorIndex >= 0
-                              ? proto_leaf.consNum - 1
-                              : proto_leaf.consNum;
-    proto_leaf.scope = scope;
-    proto_leaf.prod = pleaf;
-    proto_leaf.cons = cleaf;
-    proto_leaf.wsExtent = ws.extent;
-
-    const LoopNode& top = nest.loops().front();
-    auto dom = nodeDomain(proto, top);
-    if (dom.second <= dom.first)
-        return;
-    auto run_range = [&](u64 b, u64 e) {
-        std::vector<float> scratch(ws.extent, 0.0f);
-        ScopeLeaf leaf = proto_leaf;
-        leaf.ws = scratch.data();
-        leaf.prod.ws = scratch.data();
-        leaf.cons.ws = scratch.data();
-        Ctx cx = proto;
-        execNode(cx, 0, b, e, leaf);
-    };
-    u32 threads = std::max<u32>(1, par.threads);
-    if (threads == 1) {
-        run_range(dom.first, dom.second);
-        return;
+    void
+    operator()(const WacoKernelArgs& buf, u64 begin, u64 end,
+               float* scratch) const
+    {
+        const auto& ext = nest_.shape().indexExtent;
+        Ctx cx = proto_;
+        cx.levels = args_.a->levels().data();
+        switch (nest_.alg()) {
+          case Algorithm::SpMV:
+            execNode(cx, 0, begin, end, SpMVLeaf{buf.vals, buf.b, buf.out});
+            return;
+          case Algorithm::SpMM:
+            execNode(cx, 0, begin, end,
+                     SpMMLeaf{buf.vals, buf.b, buf.out,
+                              stridesOf(*args_.matB), ext[2]});
+            return;
+          case Algorithm::SDDMM:
+            execNode(cx, 0, begin, end,
+                     SDDMMLeaf{buf.vals, buf.b, buf.c, buf.out,
+                               stridesOf(*args_.matB),
+                               stridesOf(*args_.matC), ext[2]});
+            return;
+          case Algorithm::MTTKRP:
+            execNode(cx, 0, begin, end,
+                     MTTKRPLeaf{buf.vals, buf.b, buf.c, buf.out,
+                                stridesOf(*args_.matB),
+                                stridesOf(*args_.matC), ext[3]});
+            return;
+          case Algorithm::FusedSDDMMSpMM: {
+            // E[i,m] = Σ_j A[i,j] · (Σ_k B[i,k]·C[k,j]) · F[j,m] via w[j].
+            ScopeLeaf leaf = scope_;
+            leaf.prod = {buf.b, buf.c, stridesOf(*args_.matB),
+                         stridesOf(*args_.matC), ext[2], scratch};
+            leaf.cons = {buf.vals, buf.f, buf.out, stridesOf(*args_.matF),
+                         ext[3], scratch};
+            execNode(cx, 0, begin, end, leaf);
+            return;
+          }
+        }
     }
-    u64 chunk = std::max<u32>(1, par.chunk);
-    globalPool().ensureWorkers(
-        std::min(threads, ThreadPool::kMaxWorkers + 1) - 1);
-    globalPool().parallelFor(
-        dom.second - dom.first, chunk, threads,
-        [&](u64 b, u64 e) { run_range(dom.first + b, dom.first + e); });
-}
+
+  private:
+    const LoopNest& nest_;
+    const LoopNestArgs& args_;
+    Ctx proto_;
+    std::vector<LoopNode> consWalk_;
+    ScopeLeaf scope_{};
+};
 
 /** The tensor must be the physical realization of the nest's format half. */
 void
@@ -563,10 +549,6 @@ checkTensorMatchesNest(const LoopNest& nest, const HierSparseTensor& a)
                 "executeLoopNest: tensor level does not match the nest");
     }
 }
-
-} // namespace
-
-namespace exec_detail {
 
 void
 checkLoopNestArgs(const LoopNest& nest, const LoopNestArgs& args)
@@ -625,15 +607,6 @@ topLoopDomain(const LoopNest& nest, const HierSparseTensor& a)
     return {bl.pos[0], bl.pos[1]}; // top Sparse node is always level 0
 }
 
-bool
-topLoopParallelizable(const LoopNest& nest)
-{
-    if (nest.fused())
-        return true; // the prefix leads with the (non-reducing) scope index
-    const auto& info = algorithmInfo(nest.alg());
-    return !info.isReduction[slotIndex(nest.loops().front().slot)];
-}
-
 SparseMatrix
 assembleSddmmOutput(const HierSparseTensor& a, const std::vector<float>& dvals)
 {
@@ -650,7 +623,92 @@ assembleSddmmOutput(const HierSparseTensor& a, const std::vector<float>& dvals)
                         std::move(out));
 }
 
-} // namespace exec_detail
+} // namespace
+
+bool
+topLoopParallelizable(const LoopNest& nest)
+{
+    if (nest.fused())
+        return true; // the prefix leads with the (non-reducing) scope index
+    const auto& info = algorithmInfo(nest.alg());
+    return !info.isReduction[slotIndex(nest.loops().front().slot)];
+}
+
+LoopNestResult
+driveLoopNest(const LoopNest& nest, const LoopNestArgs& args,
+              const ParallelConfig& par, const NestRangeFn& range)
+{
+    checkLoopNestArgs(nest, args);
+    const HierSparseTensor& a = *args.a;
+    const auto& ext = nest.shape().indexExtent;
+
+    WacoKernelArgs buf;
+    panicIf(nest.numLevels() > kMaxLevels,
+            "executeLoopNest: too many storage levels");
+    for (u32 l = 0; l < nest.numLevels(); ++l) {
+        buf.pos[l] = a.levels()[l].pos.data();
+        buf.crd[l] = a.levels()[l].crd.data();
+    }
+    buf.vals = a.values().data();
+
+    LoopNestResult r;
+    std::vector<float> dvals; // SDDMM per-stored-position accumulators
+    switch (nest.alg()) {
+      case Algorithm::SpMV:
+        buf.b = args.vecB->data().data();
+        r.vec = DenseVector(ext[0], 0.0f);
+        buf.out = r.vec.data().data();
+        break;
+      case Algorithm::SpMM:
+        buf.b = args.matB->data().data();
+        r.mat = DenseMatrix(ext[0], ext[2], Layout::RowMajor, 0.0f);
+        buf.out = r.mat.data().data();
+        break;
+      case Algorithm::SDDMM:
+        buf.b = args.matB->data().data();
+        buf.c = args.matC->data().data();
+        dvals.assign(a.storedValues(), 0.0f);
+        buf.out = dvals.data();
+        break;
+      case Algorithm::MTTKRP:
+        buf.b = args.matB->data().data();
+        buf.c = args.matC->data().data();
+        r.mat = DenseMatrix(ext[0], ext[3], Layout::RowMajor, 0.0f);
+        buf.out = r.mat.data().data();
+        break;
+      case Algorithm::FusedSDDMMSpMM:
+        buf.b = args.matB->data().data();
+        buf.c = args.matC->data().data();
+        buf.f = args.matF->data().data();
+        r.mat = DenseMatrix(ext[0], ext[3], Layout::RowMajor, 0.0f);
+        buf.out = r.mat.data().data();
+        break;
+    }
+
+    const u32 wsExtent = nest.fused() ? nest.workspace().extent : 0;
+    auto run = [&](u64 begin, u64 end) {
+        std::vector<float> scratch(wsExtent, 0.0f);
+        range(buf, begin, end, wsExtent > 0 ? scratch.data() : nullptr);
+    };
+    const auto dom = topLoopDomain(nest, a);
+    const u32 threads = std::max<u32>(1, par.threads);
+    if (dom.second > dom.first) {
+        if (threads == 1 || !topLoopParallelizable(nest)) {
+            run(dom.first, dom.second);
+        } else {
+            globalPool().ensureWorkers(
+                std::min(threads, ThreadPool::kMaxWorkers + 1) - 1);
+            globalPool().parallelFor(
+                dom.second - dom.first, std::max<u32>(1, par.chunk),
+                threads,
+                [&](u64 b, u64 e) { run(dom.first + b, dom.first + e); });
+        }
+    }
+
+    if (nest.alg() == Algorithm::SDDMM)
+        r.sparse = assembleSddmmOutput(a, dvals);
+    return r;
+}
 
 LoopNestResult
 executeLoopNest(const LoopNest& nest, const LoopNestArgs& args,
@@ -666,75 +724,8 @@ executeLoopNest(const LoopNest& nest, const LoopNestArgs& args,
                 "executeLoopNest: invalid loop nest:\n" + diags.format());
     }
 #endif
-    exec_detail::checkLoopNestArgs(nest, args);
-    const HierSparseTensor& a = *args.a;
-    const auto& ext = nest.shape().indexExtent;
-    const float* av = a.values().data();
-
-    LoopNestResult r;
-    switch (nest.alg()) {
-      case Algorithm::SpMV: {
-        r.vec = DenseVector(ext[0], 0.0f);
-        SpMVLeaf leaf{av, args.vecB->data().data(), r.vec.data().data()};
-        runNest(nest, a, leaf, par);
-        break;
-      }
-      case Algorithm::SpMM: {
-        r.mat = DenseMatrix(ext[0], ext[2], Layout::RowMajor, 0.0f);
-        SpMMLeaf leaf{av,
-                      args.matB->data().data(),
-                      r.mat.data().data(),
-                      stridesOf(*args.matB),
-                      r.mat.cols(),
-                      ext[2]};
-        runNest(nest, a, leaf, par);
-        break;
-      }
-      case Algorithm::SDDMM: {
-        std::vector<float> dvals(a.storedValues(), 0.0f);
-        SDDMMLeaf leaf{av,
-                       args.matB->data().data(),
-                       args.matC->data().data(),
-                       dvals.data(),
-                       stridesOf(*args.matB),
-                       stridesOf(*args.matC),
-                       ext[2]};
-        runNest(nest, a, leaf, par);
-        r.sparse = exec_detail::assembleSddmmOutput(a, dvals);
-        break;
-      }
-      case Algorithm::MTTKRP: {
-        r.mat = DenseMatrix(ext[0], ext[3], Layout::RowMajor, 0.0f);
-        MTTKRPLeaf leaf{av,
-                        args.matB->data().data(),
-                        args.matC->data().data(),
-                        r.mat.data().data(),
-                        stridesOf(*args.matB),
-                        stridesOf(*args.matC),
-                        r.mat.cols(),
-                        ext[3]};
-        runNest(nest, a, leaf, par);
-        break;
-      }
-      case Algorithm::FusedSDDMMSpMM: {
-        // E[i,m] = Σ_j A[i,j] · (Σ_k B[i,k]·C[k,j]) · F[j,m] via w[j].
-        r.mat = DenseMatrix(ext[0], ext[3], Layout::RowMajor, 0.0f);
-        FusedProducerLeaf pleaf{args.matB->data().data(),
-                                args.matC->data().data(),
-                                stridesOf(*args.matB),
-                                stridesOf(*args.matC),
-                                ext[2]};
-        FusedConsumerLeaf cleaf{av,
-                                args.matF->data().data(),
-                                r.mat.data().data(),
-                                stridesOf(*args.matF),
-                                r.mat.cols(),
-                                ext[3]};
-        runFusedNest(nest, a, pleaf, cleaf, par);
-        break;
-      }
-    }
-    return r;
+    const Interpreter interp(nest, args);
+    return driveLoopNest(nest, args, par, std::cref(interp));
 }
 
 u64

@@ -17,24 +17,26 @@
  * loops stay tight; an unsplit dense-only innermost loop is fused into the
  * leaf as a vectorizable tail.
  *
- * Parallelism: the outermost loop is chunked over the persistent global
- * ThreadPool (util/thread_pool.hpp) whenever its index variable is not a
- * reduction index — each chunk then writes a disjoint slice of the output
- * (disjoint rows/columns, or disjoint A value positions for SDDMM).
- * Reduction-major nests run serially, which is also what a legal TACO
- * schedule would be forced to do.
+ * Both engines run through one driver, driveLoopNest: it checks the
+ * operands, allocates the output, and chunks the outermost loop over the
+ * persistent global ThreadPool (util/thread_pool.hpp) whenever its index
+ * variable is not a reduction index — each chunk then writes a disjoint
+ * slice of the output (disjoint rows/columns, or disjoint A value
+ * positions for SDDMM). Reduction-major nests run serially, which is also
+ * what a legal TACO schedule would be forced to do. An engine supplies
+ * only the body that runs one chunk: the interpreter's execNode walk, or
+ * the JIT'd kernel's function pointer. Chunk boundaries, and therefore
+ * float results, are the same for both by construction.
  *
- * Fused workspace nests run through a scope driver: the shared scope
- * prefix executes once, and at the fission point each scope iteration
- * zero-initializes a dense workspace, runs the producer phase (w[j] +=
- * B*C), then the consumer phase (E += A*w*F). Each parallel chunk owns a
- * private workspace vector, so chunks of the (non-reducing) scope index
- * never share scratch state.
+ * Fused workspace nests run the shared scope prefix as the nest; at the
+ * fission point each scope iteration zero-initializes a dense workspace,
+ * runs the producer phase (w[j] += B*C), then the consumer phase
+ * (E += A*w*F). Each chunk owns a private workspace the driver hands it,
+ * so chunks of the (non-reducing) scope index never share scratch state.
  */
 #pragma once
 
-#include <utility>
-#include <vector>
+#include <functional>
 
 #include "ir/loopnest.hpp"
 #include "tensor/coo.hpp"
@@ -85,33 +87,50 @@ LoopNestResult executeLoopNest(const LoopNest& nest, const LoopNestArgs& args,
  *  that executions dispatch through the generic executor. */
 u64 loopNestExecutionCount();
 
-// Pieces of the interpreter that any alternative execution engine (the
-// JIT'd CompiledBackend in codegen/kernel_backend.hpp) must share so its
-// argument contract, chunking domain, and output assembly can never
-// drift from the interpreter's.
-namespace exec_detail {
+/**
+ * Raw pointers of one execution: A's storage, the dense inputs and the
+ * output buffer the driver allocated. This is also the fixed C argument
+ * block of every JIT'd kernel (`waco_args_t` in the code emitKernelC
+ * prints), so its layout is ABI. One layout for all five algorithms:
+ * unused members stay null. pos/crd are indexed by storage level of A.
+ */
+struct WacoKernelArgs
+{
+    const u64* pos[8] = {};
+    const u32* crd[8] = {};
+    const float* vals = nullptr; ///< A's stored values.
+    const float* b = nullptr;    ///< Dense operand B (vector or matrix).
+    const float* c = nullptr;    ///< Dense operand C.
+    const float* f = nullptr;    ///< Dense operand F (fused kernel only).
+    float* out = nullptr; ///< Output buffer (per-position values for SDDMM).
+};
 
-/** Validate that @p args carries the operands @p nest's algorithm needs
- *  with matching shapes, and that the tensor physically realizes the
- *  nest's format half. Fatal/panic on mismatch (executeLoopNest's exact
- *  contract). */
-void checkLoopNestArgs(const LoopNest& nest, const LoopNestArgs& args);
+/**
+ * One engine's body: execute the nest for the top-loop range
+ * [begin, end) over @p buf. @p scratch is that chunk's private workspace
+ * for fused nests (null otherwise).
+ */
+using NestRangeFn = std::function<void(const WacoKernelArgs& buf, u64 begin,
+                                       u64 end, float* scratch)>;
 
-/** Chunking domain of the outermost loop: coordinates for a Dense/U top
- *  node, absolute crd positions for a Compressed one. */
-std::pair<u64, u64> topLoopDomain(const LoopNest& nest,
-                                  const HierSparseTensor& a);
+/**
+ * The one nest driver both engines run through. It checks @p args
+ * against the nest (executeLoopNest's contract), allocates the output
+ * (SDDMM: one accumulator per stored position of A), and computes the
+ * top loop's domain: coordinates for a Dense/U top node, absolute crd
+ * positions for a Compressed one. When the top loop is parallelizable
+ * and @p par asks for more than one thread, the domain is chunked over
+ * the global ThreadPool; otherwise @p range runs once over all of it.
+ * Every call of @p range gets its own zeroed workspace. SDDMM's sparse
+ * output is assembled on A's pattern at the end.
+ */
+LoopNestResult driveLoopNest(const LoopNest& nest, const LoopNestArgs& args,
+                             const ParallelConfig& par,
+                             const NestRangeFn& range);
 
 /** True when chunks of the top loop write disjoint output slices (the
- *  top index is not a reduction index; fused nests always qualify). */
+ *  top index is not a reduction index; fused nests always qualify), so
+ *  driveLoopNest may run them in parallel. */
 bool topLoopParallelizable(const LoopNest& nest);
-
-/** Serial storage-order pass assembling SDDMM's sparse output on A's
- *  pattern from per-stored-position accumulators (padding and explicit
- *  stored zeros dropped). */
-SparseMatrix assembleSddmmOutput(const HierSparseTensor& a,
-                                 const std::vector<float>& dvals);
-
-} // namespace exec_detail
 
 } // namespace waco

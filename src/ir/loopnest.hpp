@@ -33,8 +33,8 @@
  * an explicit scope level (Kjolstad et al., workspaces).
  *
  * Three consumers share this IR so they can never drift apart:
- *  - exec/loopnest_exec.cpp interprets it (the real execution engine),
- *  - codegen/emit.cpp pretty-prints it as TACO-style C,
+ *  - exec/loopnest_exec.cpp interprets it (the semantic reference),
+ *  - codegen/emit.cpp prints it as the C kernel the JIT backend runs,
  *  - perfmodel/cost_model.cpp walks it for traversal/locality terms.
  */
 #pragma once

@@ -285,6 +285,27 @@ formatOf(const SuperSchedule& s, const ProblemShape& shape)
     return FormatDescriptor(info.sparseOrder, dims, splits, levels);
 }
 
+bool
+denseRowMajorOf(const SuperSchedule& s, std::size_t op)
+{
+    const DenseOperand& d = algorithmInfo(s.alg).denseOperands[op];
+    if (d.layoutFixed || s.denseRowMajor.size() <= op)
+        return d.rowMajorDefault;
+    return s.denseRowMajor[op];
+}
+
+std::vector<bool>
+inputRowMajorOf(const SuperSchedule& s)
+{
+    const auto& ops = algorithmInfo(s.alg).denseOperands;
+    std::vector<bool> layouts;
+    for (std::size_t op = 0; op < ops.size(); ++op) {
+        if (!ops[op].isOutput && ops[op].indices.size() == 2)
+            layouts.push_back(denseRowMajorOf(s, op));
+    }
+    return layouts;
+}
+
 double
 concordance(const SuperSchedule& s)
 {

@@ -114,6 +114,16 @@ std::vector<LevelFormat> activeSparseLevelFormats(const SuperSchedule& s);
 /** Build the FormatDescriptor the schedule's format half describes. */
 FormatDescriptor formatOf(const SuperSchedule& s, const ProblemShape& shape);
 
+/** Layout dense operand @p op (an index into algorithmInfo(s.alg)
+ *  .denseOperands) takes under @p s: the paper's layout for a fixed
+ *  operand or a missing flag, the schedule's choice otherwise. */
+bool denseRowMajorOf(const SuperSchedule& s, std::size_t op);
+
+/** denseRowMajorOf for each dense input matrix (outputs skipped, and
+ *  SpMV's vector, which has no layout): the layout vector
+ *  KernelEmitOptions::inputRowMajor takes. */
+std::vector<bool> inputRowMajorOf(const SuperSchedule& s);
+
 /**
  * Degree of concordance between the compute loop order and the sparse level
  * order: 1.0 when the sparse levels appear in the same relative order in the

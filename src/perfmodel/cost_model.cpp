@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <thread>
 
 #include "util/thread_pool.hpp"
 
@@ -21,8 +20,7 @@ constexpr u64 kParallelScanNnz = 1ull << 16;
 u32
 scanThreads()
 {
-    u32 hw = std::max(1u, std::thread::hardware_concurrency());
-    return std::min(hw, 8u);
+    return std::min(hardwareThreads(), 8u);
 }
 
 /** Mixing step for coordinate-tuple hashing. */
@@ -210,8 +208,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
                 const auto& d = info.denseOperands[op];
                 if (d.indices.size() < 2)
                     continue;
-                bool row_major = d.layoutFixed ? d.rowMajorDefault
-                                               : s.denseRowMajor[op];
+                bool row_major = denseRowMajorOf(s, op);
                 u32 contig = row_major ? d.indices[1] : d.indices[0];
                 if (contig == inner_idx)
                     contiguous = true;
@@ -360,8 +357,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
     double dense_miss = 0.0;
     for (std::size_t op = 0; op < info.denseOperands.size(); ++op) {
         const auto& d = info.denseOperands[op];
-        bool row_major = d.layoutFixed ? d.rowMajorDefault
-                                       : s.denseRowMajor[op];
+        bool row_major = denseRowMajorOf(s, op);
         // Identify the non-contiguous ("row") index and the contiguous one.
         u32 r_idx, contig_idx;
         bool has_contig;

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace waco {
 
@@ -32,18 +32,6 @@ makeOperand(u64 rows, u64 cols, bool rowMajor, u64 seed)
     return m;
 }
 
-/** The layout the schedule chose for dense operand @p op (paper-fixed
- *  layouts override the schedule bit, matching the cost model). */
-bool
-operandRowMajor(const AlgorithmInfo& info, const SuperSchedule& s,
-                std::size_t op)
-{
-    const DenseOperand& d = info.denseOperands[op];
-    if (d.layoutFixed || s.denseRowMajor.size() <= op)
-        return d.rowMajorDefault;
-    return s.denseRowMajor[op];
-}
-
 Measurement
 invalid(const std::string& why)
 {
@@ -60,7 +48,6 @@ Measurement
 WallclockMeasurer::run(const HierSparseTensor& t, const ProblemShape& shape,
                        const SuperSchedule& s) const
 {
-    const AlgorithmInfo& info = algorithmInfo(s.alg);
     const auto& ext = shape.indexExtent;
     LoopNest nest = lower(s, shape);
 
@@ -76,36 +63,34 @@ WallclockMeasurer::run(const HierSparseTensor& t, const ProblemShape& shape,
         args.vecB = &vecB;
         break;
       case Algorithm::SpMM:
-        matB = makeOperand(ext[1], ext[2], operandRowMajor(info, s, 0), 1);
+        matB = makeOperand(ext[1], ext[2], denseRowMajorOf(s, 0), 1);
         args.matB = &matB;
         break;
       case Algorithm::SDDMM:
-        matB = makeOperand(ext[0], ext[2], operandRowMajor(info, s, 0), 1);
-        matC = makeOperand(ext[2], ext[1], operandRowMajor(info, s, 1), 2);
+        matB = makeOperand(ext[0], ext[2], denseRowMajorOf(s, 0), 1);
+        matC = makeOperand(ext[2], ext[1], denseRowMajorOf(s, 1), 2);
         args.matB = &matB;
         args.matC = &matC;
         break;
       case Algorithm::MTTKRP:
-        matB = makeOperand(ext[1], ext[3], operandRowMajor(info, s, 0), 1);
-        matC = makeOperand(ext[2], ext[3], operandRowMajor(info, s, 1), 2);
+        matB = makeOperand(ext[1], ext[3], denseRowMajorOf(s, 0), 1);
+        matC = makeOperand(ext[2], ext[3], denseRowMajorOf(s, 1), 2);
         args.matB = &matB;
         args.matC = &matC;
         break;
       case Algorithm::FusedSDDMMSpMM:
-        matB = makeOperand(ext[0], ext[2], operandRowMajor(info, s, 0), 1);
-        matC = makeOperand(ext[2], ext[1], operandRowMajor(info, s, 1), 2);
-        matF = makeOperand(ext[1], ext[3], operandRowMajor(info, s, 2), 3);
+        matB = makeOperand(ext[0], ext[2], denseRowMajorOf(s, 0), 1);
+        matC = makeOperand(ext[2], ext[1], denseRowMajorOf(s, 1), 2);
+        matF = makeOperand(ext[1], ext[3], denseRowMajorOf(s, 2), 3);
         args.matB = &matB;
         args.matC = &matC;
         args.matF = &matF;
         break;
     }
 
-    u32 cap = opt_.maxThreads != 0
-                  ? opt_.maxThreads
-                  : std::max(1u, std::thread::hardware_concurrency());
-    ParallelConfig par{std::min(std::max(1u, s.numThreads), cap),
-                       std::max(1u, s.ompChunk)};
+    ParallelConfig par{
+        std::min(std::max(1u, s.numThreads), hardwareThreads()),
+        std::max(1u, s.ompChunk)};
 
     // Warm-up run: pays JIT compilation / cache population and faults the
     // operands in, so the timed rounds measure steady-state execution.

@@ -11,8 +11,11 @@
  * KernelBackend — the interpreter, or the JIT'd CompiledBackend, which is
  * what `tune_cli --backend compiled` wires up. One warm-up run pays
  * compilation/caching up front; the reported time is the median of the
- * timed rounds. Only the `seconds`/`valid`/storage fields of Measurement
- * are populated — the analytical breakdown diagnostics stay zero.
+ * timed rounds. The schedule's thread annotation is capped at the host's
+ * hardware threads: the paper's 24/48-thread annotations would
+ * oversubscribe a small machine into pure noise. Only the
+ * `seconds`/`valid`/storage fields of Measurement are populated — the
+ * analytical breakdown diagnostics stay zero.
  */
 #pragma once
 
@@ -27,10 +30,6 @@ namespace waco {
 struct WallclockOptions
 {
     u32 rounds = 3; ///< Timed executions per measure(); median reported.
-    /** Thread cap applied to the schedule's annotation; 0 = the host's
-     *  hardware concurrency. The paper's 24/48-thread annotations would
-     *  oversubscribe small CI machines into pure noise otherwise. */
-    u32 maxThreads = 0;
 };
 
 /** Measures (input, shape, schedule) triples by executing them. */

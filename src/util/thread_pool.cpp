@@ -146,4 +146,10 @@ globalPool()
     return pool;
 }
 
+u32
+hardwareThreads()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
 } // namespace waco

@@ -93,4 +93,8 @@ class ThreadPool
 /** The process-wide pool shared by the executor and the oracle. */
 ThreadPool& globalPool();
 
+/** Hardware threads of this host (std::thread::hardware_concurrency),
+ *  at least 1 when the runtime cannot tell. */
+u32 hardwareThreads();
+
 } // namespace waco

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the C emitter and the dataset (de)serialization.
+ * Tests for the C kernel emitter and the dataset (de)serialization.
  */
 #include <gtest/gtest.h>
 
@@ -20,18 +20,31 @@
 namespace waco {
 namespace {
 
+/** The kernel C the compiled backend builds for @p s on @p shape. */
+std::string
+kernelC(const SuperSchedule& s, const ProblemShape& shape)
+{
+    KernelEmitOptions eo;
+    eo.inputRowMajor = inputRowMajorOf(s);
+    return emitKernelC(lower(s, shape), eo);
+}
+
 TEST(Codegen, DefaultSpmmLooksLikeCsr)
 {
     auto shape = ProblemShape::forMatrix(Algorithm::SpMM, 128, 96);
-    auto code = emitC(defaultSchedule(shape), shape);
-    // CSR: dense i loop, compressed k loop, dense j loop, OpenMP pragma.
-    EXPECT_NE(code.find("for (int i = 0; i < 128"), std::string::npos) << code;
-    EXPECT_NE(code.find("A1_pos"), std::string::npos) << code;
-    EXPECT_NE(code.find("A1_crd"), std::string::npos) << code;
-    EXPECT_NE(code.find("for (int j = 0; j < 256"), std::string::npos);
-    EXPECT_NE(code.find("schedule(dynamic, 32)"), std::string::npos);
-    EXPECT_NE(code.find("C[i * J + j] += A_vals[pA] * B[k * J + j];"),
-              std::string::npos);
+    auto code = kernelC(defaultSchedule(shape), shape);
+    // CSR: host-ranged dense i loop, compressed k loop, dense j tail.
+    EXPECT_NE(code.find("for (int64_t i = waco_begin; i < waco_end; i++)"),
+              std::string::npos)
+        << code;
+    EXPECT_NE(code.find("pos1"), std::string::npos) << code;
+    EXPECT_NE(code.find("const int64_t k = (int64_t)crd1[p1];"),
+              std::string::npos)
+        << code;
+    EXPECT_NE(code.find("for (int64_t j = 0; j < 256; j++)"),
+              std::string::npos)
+        << code;
+    EXPECT_NE(code.find("cp[j] += v * bp[j];"), std::string::npos) << code;
     // Balanced braces.
     EXPECT_EQ(std::count(code.begin(), code.end(), '{'),
               std::count(code.begin(), code.end(), '}'));
@@ -47,8 +60,9 @@ TEST(Codegen, SplitEmitsReconstruction)
     s.sparseLevelFormats = {LevelFormat::Uncompressed, LevelFormat::Compressed,
                             LevelFormat::Compressed,
                             LevelFormat::Uncompressed};
-    auto code = emitC(s, shape);
-    EXPECT_NE(code.find("int k = k1 * 8 + k0;"), std::string::npos) << code;
+    auto code = kernelC(s, shape);
+    EXPECT_NE(code.find("const int64_t k = k1 * 8 + k0;"), std::string::npos)
+        << code;
     EXPECT_NE(code.find("k0"), std::string::npos);
 }
 
@@ -56,11 +70,13 @@ TEST(Codegen, DiscordantOrderIsAnnotated)
 {
     auto shape = ProblemShape::forMatrix(Algorithm::SpMV, 64, 64);
     auto s = defaultSchedule(shape);
-    // k before i while A is stored row-major.
+    // k before i while A is stored row-major: i is located in the
+    // compressed column level by binary search.
     s.loopOrder = {outerSlot(1), innerSlot(1), outerSlot(0), innerSlot(0)};
-    auto code = emitC(s, shape);
-    EXPECT_NE(code.find("discordant"), std::string::npos) << code;
-    EXPECT_NE(code.find("binary search"), std::string::npos) << code;
+    auto code = kernelC(s, shape);
+    EXPECT_NE(code.find("waco_search(const uint32_t* crd"), std::string::npos)
+        << code;
+    EXPECT_NE(code.find(" = waco_search(crd1, "), std::string::npos) << code;
 }
 
 TEST(DatasetIo, ScheduleRoundTrip)

@@ -142,8 +142,7 @@ TEST(ScheduledExec, DetectsParallelizableStorage)
     auto csr = FormatDescriptor::csr(32, 32);
     auto csc = FormatDescriptor::csc(32, 32);
     auto parallel = [](Algorithm alg, const FormatDescriptor& desc) {
-        return exec_detail::topLoopParallelizable(
-            lowerStorageOrder(alg, desc));
+        return topLoopParallelizable(lowerStorageOrder(alg, desc));
     };
     // CSR is row (=output index i) major: parallel-safe for SpMV/SpMM.
     EXPECT_TRUE(parallel(Algorithm::SpMV, csr));
@@ -229,7 +228,7 @@ expectSaneWallclock(KernelBackend& engine)
     Rng rng(23);
     auto m = randomMatrix(64, 64, 300, rng);
     auto shape = ProblemShape::forMatrix(Algorithm::SpMV, 64, 64);
-    WallclockMeasurer measurer(engine, {.rounds = 3, .maxThreads = 2});
+    WallclockMeasurer measurer(engine, {.rounds = 3});
     EXPECT_EQ(&measurer.engine(), &engine);
     for (u64 call = 1; call <= 2; ++call) {
         Measurement r = measurer.measure(m, shape, defaultSchedule(shape));

@@ -8,9 +8,10 @@
  * (executeLoopNest) must *bit-match* the dense COO references in
  * exec/reference.cpp — operands are integer-valued so float accumulation is
  * exact in any order and the comparison can demand equality, not tolerance.
- * The same loop asserts the unified C emitter names every loop of the
- * lowered nest, and that the sample set exercises discordant (binary-search
- * locate) traversals and parallel execution over the persistent pool.
+ * The same loop asserts the C kernel emitter (emitKernelC) binds every loop
+ * of the lowered nest, and that the sample set exercises discordant
+ * (binary-search locate) traversals and parallel execution over the
+ * persistent pool.
  *
  * Also here: unit tests of the ThreadPool runtime (full coverage, the
  * chunk-count participation cap that fixes the old dynamicTopLevel
@@ -93,17 +94,35 @@ hasBinarySearchLocate(const LoopNest& nest)
     return false;
 }
 
+/** The kernel C the compiled backend builds for @p s. */
+std::string
+kernelC(const SuperSchedule& s, const LoopNest& nest)
+{
+    KernelEmitOptions eo;
+    eo.inputRowMajor = inputRowMajorOf(s);
+    return emitKernelC(nest, eo);
+}
+
+/** Assert the emitted C binds every loop variable of @p loops. */
+void
+expectBindsEveryLoop(const std::string& code, const LoopNest& nest,
+                     const std::vector<LoopNode>& loops,
+                     const std::string& key)
+{
+    for (const LoopNode& n : loops) {
+        std::string binding = "int64_t " + nest.slotVarName(n.slot) + " =";
+        EXPECT_NE(code.find(binding), std::string::npos)
+            << "emitKernelC output does not bind loop variable '"
+            << nest.slotVarName(n.slot) << "'\nschedule: " << key << "\n"
+            << code;
+    }
+}
+
 /** Assert the emitter names every loop variable of the lowered nest. */
 void
 expectEmitNamesEveryLoop(const SuperSchedule& s, const LoopNest& nest)
 {
-    std::string code = emitC(s, nest.shape());
-    for (u32 d = 0; d < nest.loops().size(); ++d) {
-        std::string binding = "int " + nest.varName(d) + " =";
-        EXPECT_NE(code.find(binding), std::string::npos)
-            << "emitC output does not bind loop variable '" << nest.varName(d)
-            << "'\nschedule: " << s.key() << "\n" << code;
-    }
+    expectBindsEveryLoop(kernelC(s, nest), nest, nest.loops(), s.key());
 }
 
 /** Cycle through serial, lightly- and heavily-chunked parallel configs. */
@@ -357,27 +376,13 @@ fuzzFused(u32 target, u64 seed)
 
         // The emitter must name every loop of BOTH walks and print the
         // workspace's init/producer/consumer statements.
-        std::string code = emitC(s, shape);
-        for (const LoopNode& n : nest.loops()) {
-            std::string binding = "int " + nest.slotVarName(n.slot) + " =";
-            EXPECT_NE(code.find(binding), std::string::npos)
-                << "producer walk misses '" << nest.slotVarName(n.slot)
-                << "'\n" << s.key() << "\n" << code;
-        }
-        for (const LoopNode& n : nest.consumerLoops()) {
-            std::string binding = "int " + nest.slotVarName(n.slot) + " =";
-            EXPECT_NE(code.find(binding), std::string::npos)
-                << "consumer walk misses '" << nest.slotVarName(n.slot)
-                << "'\n" << s.key() << "\n" << code;
-        }
-        EXPECT_NE(code.find("float w["), std::string::npos) << code;
-        EXPECT_NE(code.find("w[_w] = 0.0f;"), std::string::npos) << code;
-        EXPECT_NE(code.find("w[j] += B[i * K + k] * C[k * J + j];"),
-                  std::string::npos)
+        std::string code = kernelC(s, nest);
+        expectBindsEveryLoop(code, nest, nest.loops(), s.key());
+        expectBindsEveryLoop(code, nest, nest.consumerLoops(), s.key());
+        EXPECT_NE(code.find("waco_ws[waco_wi] = 0.0f;"), std::string::npos)
             << code;
-        EXPECT_NE(code.find("E[i * M + m] += A_vals[pA] * w[j] * "
-                            "F[j * M + m];"),
-                  std::string::npos)
+        EXPECT_NE(code.find("waco_ws[j] += "), std::string::npos) << code;
+        EXPECT_NE(code.find("vals[pA] * waco_ws[j]"), std::string::npos)
             << code;
 
         LoopNestArgs args;

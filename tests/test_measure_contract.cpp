@@ -32,17 +32,8 @@ class MeasureContract : public ::testing::TestWithParam<ContractParam>
   protected:
     MeasureContract()
         : faulty_(oracle_, FaultConfig{}), robust_(oracle_),
-          wallclock_(interpreterBackend(), wallclockOptions())
+          wallclock_(interpreterBackend(), {.rounds = 1})
     {}
-
-    static WallclockOptions
-    wallclockOptions()
-    {
-        WallclockOptions opt;
-        opt.rounds = 1;
-        opt.maxThreads = 2;
-        return opt;
-    }
 
     Backend kind() const { return std::get<0>(GetParam()); }
     Case input() const { return std::get<1>(GetParam()); }
