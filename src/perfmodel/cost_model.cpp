@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <queue>
 
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
+#include "util/trace.hpp"
 
 namespace waco {
 
@@ -35,52 +38,94 @@ hashCombine(u64 h, u64 v)
  * Approximate distinct counting via linear counting over a fixed bitmap
  * (Whang et al.): insert hashes, then estimate n ≈ -m * ln(empty/m).
  * Replaces exact hash sets in the hot path of the oracle — the estimate is
- * within a few percent for the cardinalities we see, and the bitmap makes
- * one measurement O(nnz) with a small constant.
+ * within a few percent for the cardinalities we see. The counter keeps its
+ * number of set bits as it sets them, and a serial count remembers the
+ * words it dirtied, so a count is O(nnz) and never sweeps the 512 KiB
+ * bitmap; only the reset after a parallel scan clears the whole map.
  */
 class LinearCounter
 {
   public:
     LinearCounter() : bits_(kWords, 0) {}
 
+    /** Estimated number of distinct values among hash_at(0), ...,
+     *  hash_at(n - 1). At kParallelScanNnz values or more the scan fans
+     *  out over the global pool, every worker setting bits in this map. */
+    template <typename HashAt>
+    double
+    count(u64 n, const HashAt& hash_at)
+    {
+        reset();
+        if (n >= kParallelScanNnz) {
+            // fetch_or's old word says whether this thread set the bit, so
+            // the set-bit count, like the bitmap's OR, is exact no matter
+            // how the scan is chunked or interleaved.
+            u32 threads = scanThreads();
+            globalPool().ensureWorkers(threads - 1);
+            globalPool().parallelFor(n, 1u << 13, threads, [&](u64 b, u64 e) {
+                u64 fresh = 0;
+                for (u64 i = b; i < e; ++i)
+                    fresh += insertAtomic(hash_at(i));
+                __atomic_fetch_add(&set_, fresh, __ATOMIC_RELAXED);
+            });
+            wholeMapDirty_ = true;
+        } else {
+            for (u64 i = 0; i < n; ++i)
+                insert(hash_at(i));
+        }
+        return estimate();
+    }
+
+  private:
     void
     reset()
     {
-        std::fill(bits_.begin(), bits_.end(), 0);
+        if (wholeMapDirty_) {
+            std::fill(bits_.begin(), bits_.end(), 0);
+        } else {
+            for (u32 w : touched_)
+                bits_[w] = 0;
+        }
+        touched_.clear();
+        wholeMapDirty_ = false;
+        set_ = 0;
     }
 
     void
     insert(u64 h)
     {
         u64 bit = mix(h);
-        bits_[bit >> 6] |= 1ull << (bit & 63);
+        u64& word = bits_[bit >> 6];
+        u64 mask = 1ull << (bit & 63);
+        if (word & mask)
+            return;
+        if (word == 0)
+            touched_.push_back(static_cast<u32>(bit >> 6));
+        word |= mask;
+        ++set_;
     }
 
-    /** Thread-safe insert: OR is commutative, so concurrent insertion is
-     *  deterministic regardless of interleaving. */
-    void
+    /** Thread-safe insert; 1 if this call set the bit, else 0. */
+    u64
     insertAtomic(u64 h)
     {
         u64 bit = mix(h);
-        __atomic_fetch_or(&bits_[bit >> 6], 1ull << (bit & 63),
-                          __ATOMIC_RELAXED);
+        u64 mask = 1ull << (bit & 63);
+        u64 old = __atomic_fetch_or(&bits_[bit >> 6], mask, __ATOMIC_RELAXED);
+        return (old & mask) ? 0 : 1;
     }
 
     double
     estimate() const
     {
-        u64 set = 0;
-        for (u64 w : bits_)
-            set += static_cast<u64>(__builtin_popcountll(w));
-        if (set == 0)
+        if (set_ == 0)
             return 0.0;
-        if (set >= kBits)
+        if (set_ >= kBits)
             return static_cast<double>(kBits);
         double m = static_cast<double>(kBits);
-        return -m * std::log((m - static_cast<double>(set)) / m);
+        return -m * std::log((m - static_cast<double>(set_)) / m);
     }
 
-  private:
     static u64
     mix(u64 h)
     {
@@ -93,20 +138,35 @@ class LinearCounter
     static constexpr u64 kBits = 1ull << 22; // 4M bits = 512 KiB
     static constexpr u64 kWords = kBits / 64;
     std::vector<u64> bits_;
+    std::vector<u32> touched_;   ///< Words a serial count made nonzero.
+    bool wholeMapDirty_ = false; ///< A parallel scan ran; touched_ is empty.
+    u64 set_ = 0;                ///< Set bits in bits_.
 };
 
-/** Per-nonzero coordinate of a slot (outer: c/split, inner: c%split).
- *  Uses the nest's extent-clamped splits. */
-u32
-slotCoordOf(const LoopNest& nest, const AlgorithmInfo& info, u32 slot,
-            const std::array<u32, 3>& coords)
+/** Where a slot's per-nonzero coordinate comes from: the sparse dimension
+ *  of its index and the nest's extent-clamped split (outer: c / split,
+ *  inner: c % split). Decoded once per slot, applied per nonzero. */
+struct SlotCoord
+{
+    u32 dim;
+    u32 split;
+    bool inner;
+
+    u32
+    of(const std::array<u32, 3>& coords) const
+    {
+        u32 c = coords[dim];
+        return inner ? c % split : c / split;
+    }
+};
+
+SlotCoord
+slotCoordOf(const LoopNest& nest, const AlgorithmInfo& info, u32 slot)
 {
     u32 idx = slotIndex(slot);
     int d = info.sparseDim[idx];
     panicIf(d < 0, "slotCoordOf on a dense-only index");
-    u32 c = coords[d];
-    u32 split = nest.splitOf(idx);
-    return slotIsInner(slot) ? c % split : c / split;
+    return {static_cast<u32>(d), nest.splitOf(idx), slotIsInner(slot)};
 }
 
 } // namespace
@@ -115,11 +175,12 @@ Measurement
 RuntimeOracle::measure(const SparseInput& in, const ProblemShape& shape,
                        const SuperSchedule& s) const
 {
+    WACO_SPAN("perfmodel.oracle");
     measurements_.fetch_add(1);
     Measurement out;
     try {
         LoopNest nest = lower(s, shape); // validates the schedule
-        auto fmt = HierSparseTensor::build(formatOf(s, shape), in);
+        FormatFootprint fmt = formatFootprint(formatOf(s, shape), in);
         std::vector<std::array<u32, 3>> coords(in.nnz());
         for (u64 n = 0; n < in.nnz(); ++n)
             coords[n] = in.coord(n);
@@ -147,7 +208,7 @@ Measurement
 RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
                            u64 nnz, const ProblemShape& shape,
                            const SuperSchedule& s, const LoopNest& nest,
-                           const HierSparseTensor& fmt) const
+                           const FormatFootprint& fmt) const
 {
     const auto& info = algorithmInfo(s.alg);
     const MachineConfig& mc = machine_;
@@ -219,7 +280,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
             // SpMV of Figure 14.
             contiguous = num_levels > 0 &&
                          nest.levelSlot(num_levels - 1) == inner &&
-                         fmt.levels()[num_levels - 1].fmt ==
+                         fmt.levels[num_levels - 1].fmt ==
                              LevelFormat::Uncompressed;
         }
         if (contiguous && trip >= mc.simdTripThreshold) {
@@ -232,7 +293,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
     // ---- compute cycles ----
     double traversal_cycles = 0.0;
     for (u32 l = 0; l < num_levels; ++l) {
-        const BuiltLevel& bl = fmt.levels()[l];
+        const FormatFootprint::Level& bl = fmt.levels[l];
         double per = bl.fmt == LevelFormat::Uncompressed
             ? mc.uncompressedLevelCycles
             : mc.compressedLevelCycles;
@@ -253,10 +314,10 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
     for (u32 l1 = 0; l1 < num_levels; ++l1) {
         for (u32 l2 = l1 + 1; l2 < num_levels; ++l2) {
             if (loop_pos(nest.levelSlot(l2)) < loop_pos(nest.levelSlot(l1))) {
-                const BuiltLevel& deeper = fmt.levels()[l2];
+                const FormatFootprint::Level& deeper = fmt.levels[l2];
                 double parent = std::max<double>(
                     1.0, static_cast<double>(
-                             l2 ? fmt.levels()[l2 - 1].numPositions : 1));
+                             l2 ? fmt.levels[l2 - 1].numPositions : 1));
                 double fanout = std::max(
                     2.0, static_cast<double>(deeper.numPositions) / parent);
                 double probes = deeper.fmt == LevelFormat::Compressed
@@ -297,7 +358,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
         double cons_mult = 1.0;
         for (const LoopNode& n : cons) {
             if (n.kind == LoopKind::Sparse) {
-                const BuiltLevel& bl = fmt.levels()[n.level];
+                const FormatFootprint::Level& bl = fmt.levels[n.level];
                 double per = bl.fmt == LevelFormat::Uncompressed
                     ? mc.uncompressedLevelCycles
                     : mc.compressedLevelCycles;
@@ -308,10 +369,10 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
                 cons_mult *= n.extent;
             }
             for (const LocateStep& ls : n.locates) {
-                const BuiltLevel& bl = fmt.levels()[ls.level];
+                const FormatFootprint::Level& bl = fmt.levels[ls.level];
                 double parent = std::max<double>(
                     1.0, static_cast<double>(
-                             ls.level ? fmt.levels()[ls.level - 1].numPositions
+                             ls.level ? fmt.levels[ls.level - 1].numPositions
                                       : 1));
                 double fanout = std::max(
                     2.0, static_cast<double>(bl.numPositions) / parent);
@@ -331,7 +392,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
             if (n.kind == LoopKind::Sparse) {
                 // numPositions already includes outer fan-out.
                 ws_iters = static_cast<double>(
-                    fmt.levels()[n.level].numPositions);
+                    fmt.levels[n.level].numPositions);
             } else {
                 ws_iters *= n.extent;
             }
@@ -442,38 +503,41 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
         int rd = info.sparseDim[r_idx];
         panicIf(rd < 0, "sparse row index without sparse dim");
 
+        // Hash every key-slot prefix of every nonzero once:
+        // prefix_hash[p * nnz + n] chains the first p key slots of
+        // nonzero n onto the seed.
+        const u32 num_keys = static_cast<u32>(key_slots.size());
+        std::vector<SlotCoord> key_coords;
+        for (u32 slot : key_slots)
+            key_coords.push_back(slotCoordOf(nest, info, slot));
+        std::vector<u64> prefix_hash((num_keys + 1) * nnz);
+        for (u64 n = 0; n < nnz; ++n) {
+            u64 h = 0x12345;
+            prefix_hash[n] = h;
+            for (u32 kq = 0; kq < num_keys; ++kq) {
+                h = hashCombine(h, key_coords[kq].of(coords[n]));
+                prefix_hash[(kq + 1) * nnz + n] = h;
+            }
+        }
+
         // Bind the calling thread's counter by reference: pool workers in
-        // the parallel scan below must OR into this bitmap, not touch
-        // their own (never-constructed) thread_local instance.
+        // a parallel scan must set bits in this map, not touch their own
+        // (never-constructed) thread_local instance.
         static thread_local LinearCounter tls_counter;
         LinearCounter& counter = tls_counter;
+        // The analysis below asks for some (prefix, with_row) counts twice.
+        std::vector<std::optional<double>> memo(2 * (num_keys + 1));
         auto count_distinct = [&](u32 prefix_len, bool with_row) {
-            counter.reset();
-            auto hash_of = [&](u64 n) {
-                u64 h = 0x12345;
-                for (u32 kq = 0; kq < prefix_len; ++kq) {
-                    h = hashCombine(h, slotCoordOf(nest, info, key_slots[kq],
-                                                   coords[n]));
-                }
-                if (with_row)
-                    h = hashCombine(h, coords[n][rd] / line_div);
-                return h;
-            };
-            if (nnz >= kParallelScanNnz) {
-                // Bitmap OR is order-independent, so the estimate is
-                // deterministic no matter how the scan is chunked.
-                u32 threads = scanThreads();
-                globalPool().ensureWorkers(threads - 1);
-                globalPool().parallelFor(
-                    nnz, 1u << 13, threads, [&](u64 b, u64 e) {
-                        for (u64 n = b; n < e; ++n)
-                            counter.insertAtomic(hash_of(n));
-                    });
-            } else {
-                for (u64 n = 0; n < nnz; ++n)
-                    counter.insert(hash_of(n));
+            std::optional<double>& known = memo[2 * prefix_len + with_row];
+            if (!known) {
+                WACO_COUNT("perfmodel.distinct_scans", 1);
+                const u64* h = prefix_hash.data() + prefix_len * nnz;
+                known = counter.count(nnz, [&](u64 n) {
+                    return with_row ? hashCombine(h[n], coords[n][rd] / line_div)
+                                    : h[n];
+                });
             }
-            return counter.estimate();
+            return *known;
         };
 
         // Hierarchical working-set analysis: starting from the finest
@@ -547,7 +611,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
     double outside_cycles = 0.0;
     for (u32 l = 0; l < num_levels; ++l) {
         if (loop_pos(nest.levelSlot(l)) < p_pos) {
-            const BuiltLevel& bl = fmt.levels()[l];
+            const FormatFootprint::Level& bl = fmt.levels[l];
             double per = bl.fmt == LevelFormat::Uncompressed
                 ? mc.uncompressedLevelCycles
                 : mc.compressedLevelCycles;
@@ -566,7 +630,7 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
         if (loop_pos(nest.levelSlot(l)) < p_pos) {
             deepest_outside_positions = std::max(
                 deepest_outside_positions,
-                static_cast<double>(fmt.levels()[l].numPositions));
+                static_cast<double>(fmt.levels[l].numPositions));
         }
     }
     launches *= deepest_outside_positions;
@@ -583,8 +647,9 @@ RuntimeOracle::measureImpl(const std::vector<std::array<u32, 3>>& coords,
             for (auto& h : hist)
                 h = 1.0 / p_extent;
         } else {
+            SlotCoord pc = slotCoordOf(nest, info, p_slot);
             for (u64 n = 0; n < nnz; ++n)
-                hist[slotCoordOf(nest, info, p_slot, coords[n])] += 1.0;
+                hist[pc.of(coords[n])] += 1.0;
             double total_w = static_cast<double>(nnz);
             for (auto& h : hist)
                 h /= total_w;

@@ -4,7 +4,8 @@
  * plays the role of the paper's hardware measurements.
  *
  * Given a sparse input, a ProblemShape and a SuperSchedule, the oracle
- * materializes the schedule's format and estimates the execution time of the
+ * sizes the schedule's format (formatFootprint: level sizes and bytes,
+ * without assembling the tensor) and estimates the execution time of the
  * TACO-style loop nest on a MachineConfig. The model captures the couplings
  * the paper identifies as performance-critical:
  *
@@ -129,7 +130,7 @@ class RuntimeOracle : public MeasurementBackend
     Measurement measureImpl(const std::vector<std::array<u32, 3>>& coords,
                             u64 nnz, const ProblemShape& shape,
                             const SuperSchedule& s, const LoopNest& nest,
-                            const HierSparseTensor& fmt) const;
+                            const FormatFootprint& fmt) const;
 
     MachineConfig machine_;
     mutable std::atomic<u64> measurements_{0};

@@ -189,119 +189,208 @@ namespace {
 /** Per-entry byte cost of TACO's int32 pos/crd and float val arrays. */
 constexpr u64 kEntryBytes = 4;
 
-} // namespace
+/**
+ * A nonzero's level coordinates packed into one integer, level 0 in the
+ * highest bits, so integer order is lexicographic level order and
+ * `key >> shift(l)` is the coordinate prefix of levels 0..l.
+ */
+using LevelKey = unsigned __int128;
 
-HierSparseTensor
-HierSparseTensor::build(const FormatDescriptor& desc, const SparseInput& in,
-                        u64 max_bytes)
+/** Width of one level's field: 32 bits up to four levels, 21 at six. */
+u32
+levelKeyBits(const FormatDescriptor& desc)
+{
+    return std::min(32u, 128u / desc.numLevels());
+}
+
+void
+checkInputMatches(const FormatDescriptor& desc, const SparseInput& in)
 {
     fatalIf(desc.order() != in.order(),
             "descriptor order does not match input order");
     for (u32 d = 0; d < in.order(); ++d)
         fatalIf(desc.dims()[d] != in.dims()[d],
                 "descriptor dims do not match input shape");
-    std::vector<std::array<u32, 3>> coords(in.nnz());
-    for (u64 n = 0; n < in.nnz(); ++n)
-        coords[n] = in.coord(n);
-    return buildImpl(desc, coords, in.values(), max_bytes);
+    const u64 field_max = (u64{1} << levelKeyBits(desc)) - 1;
+    for (u32 l = 0; l < desc.numLevels(); ++l)
+        fatalIf(desc.levelExtent(l) - 1 > field_max,
+                "level extent too large for the sort key in " + desc.name());
 }
 
-HierSparseTensor
-HierSparseTensor::buildImpl(const FormatDescriptor& desc,
-                            const std::vector<std::array<u32, 3>>& coords,
-                            const std::vector<float>& vals, u64 max_bytes)
+LevelKey
+packLevelKey(const FormatDescriptor& desc, const std::array<u32, 3>& coords)
+{
+    const u32 bits = levelKeyBits(desc);
+    LevelKey k = 0;
+    for (u32 l = 0; l < desc.numLevels(); ++l)
+        k = (k << bits) | desc.levelCoord(l, coords);
+    return k;
+}
+
+/** Index of the highest set bit of a nonzero key. */
+u32
+highestBit(LevelKey k)
+{
+    u64 hi = static_cast<u64>(k >> 64);
+    return hi ? 127 - static_cast<u32>(__builtin_clzll(hi))
+              : 63 - static_cast<u32>(__builtin_clzll(static_cast<u64>(k)));
+}
+
+/**
+ * Level sizes of @p desc over @p nnz nonzeros whose packed keys, sorted,
+ * are key_at(0), ..., key_at(nnz - 1). This is the one place the storage
+ * budget is checked, level by level in storage order: a U level whose
+ * positions overflow or exceed it, a C level whose pos array would, and
+ * finally the value array.
+ */
+template <typename KeyAt>
+FormatFootprint
+footprintOfSorted(const FormatDescriptor& desc, u64 nnz, KeyAt key_at,
+                  u64 max_bytes)
 {
     const u32 num_levels = desc.numLevels();
-    const u64 nnz = coords.size();
+    const u32 bits = levelKeyBits(desc);
     const u64 max_positions = max_bytes / kEntryBytes;
 
-    // Per-nonzero level coordinates.
-    std::vector<std::vector<u32>> lc(num_levels, std::vector<u32>(nnz));
-    for (u32 l = 0; l < num_levels; ++l)
-        for (u64 n = 0; n < nnz; ++n)
-            lc[l][n] = desc.levelCoord(l, coords[n]);
-
-    // Sort nonzeros lexicographically in level order. Level coordinates
-    // fit in 18 bits each (dims <= 131072), so up to 7 levels pack into a
-    // single 126-bit key — far faster than a per-level comparator.
-    panicIf(num_levels > 7, "too many levels to pack a sort key");
-    using Key = unsigned __int128;
-    std::vector<std::pair<Key, u32>> keyed(nnz);
-    for (u64 n = 0; n < nnz; ++n) {
-        Key k = 0;
-        for (u32 l = 0; l < num_levels; ++l)
-            k = (k << 18) | lc[l][n];
-        keyed[n] = {k, static_cast<u32>(n)};
+    // first_diff[l]: sorted neighbours whose keys first differ at level l.
+    // Each starts a new prefix at levels l..L-1, so levels 0..l hold
+    // 1 + first_diff[0] + ... + first_diff[l] distinct prefixes.
+    std::vector<u64> first_diff(num_levels, 0);
+    for (u64 i = 1; i < nnz; ++i) {
+        LevelKey d = key_at(i) ^ key_at(i - 1);
+        if (d != 0)
+            ++first_diff[num_levels - 1 - highestBit(d) / bits];
     }
-    std::sort(keyed.begin(), keyed.end());
-    std::vector<u64> order(nnz);
-    for (u64 n = 0; n < nnz; ++n)
-        order[n] = keyed[n].second;
 
-    HierSparseTensor out;
-    out.desc_ = desc;
-    out.levels_.resize(num_levels);
-    out.bytes_ = 0;
-
-    // Current position of each nonzero; refined level by level.
-    std::vector<u64> position(nnz, 0);
+    FormatFootprint fp;
+    fp.levels.resize(num_levels);
+    u64 distinct = nnz > 0 ? 1 : 0;
     u64 parent_count = 1;
-
     for (u32 l = 0; l < num_levels; ++l) {
-        BuiltLevel& bl = out.levels_[l];
-        bl.fmt = desc.levels()[l].fmt;
-        bl.extent = desc.levelExtent(l);
-        if (bl.fmt == LevelFormat::Uncompressed) {
-            bl.numPositions = parent_count * bl.extent;
-            if (bl.numPositions > max_positions ||
-                bl.numPositions / bl.extent != parent_count) {
+        FormatFootprint::Level& fl = fp.levels[l];
+        fl.fmt = desc.levels()[l].fmt;
+        distinct += first_diff[l];
+        if (fl.fmt == LevelFormat::Uncompressed) {
+            const u64 extent = desc.levelExtent(l);
+            fl.numPositions = parent_count * extent;
+            if (fl.numPositions > max_positions ||
+                fl.numPositions / extent != parent_count) {
                 throw FormatTooLarge("uncompressed level exceeds budget in " +
                                      desc.name());
             }
-            for (u64 idx = 0; idx < nnz; ++idx) {
-                u64 n = order[idx];
-                position[n] = position[n] * bl.extent + lc[l][n];
-            }
-            out.bytes_ += kEntryBytes; // stores only the dimension
         } else {
             if (parent_count + 1 > max_positions) {
                 throw FormatTooLarge("compressed pos array exceeds budget in " +
                                      desc.name());
             }
+            fl.numPositions = distinct;
+        }
+        parent_count = fl.numPositions;
+    }
+    if (parent_count > max_positions)
+        throw FormatTooLarge("value array exceeds budget in " + desc.name());
+    return fp;
+}
+
+} // namespace
+
+u64
+FormatFootprint::bytes() const
+{
+    u64 entries = 0;
+    u64 parent_count = 1;
+    for (const Level& fl : levels) {
+        // A U level stores only its dimension; a C level its pos and crd.
+        entries += fl.fmt == LevelFormat::Uncompressed
+            ? 1
+            : parent_count + 1 + fl.numPositions;
+        parent_count = fl.numPositions;
+    }
+    return kEntryBytes * (entries + storedValues());
+}
+
+u64
+FormatFootprint::storedValues() const
+{
+    return levels.empty() ? 1 : levels.back().numPositions;
+}
+
+FormatFootprint
+formatFootprint(const FormatDescriptor& desc, const SparseInput& in,
+                u64 max_bytes)
+{
+    checkInputMatches(desc, in);
+    std::vector<LevelKey> keys(in.nnz());
+    for (u64 n = 0; n < in.nnz(); ++n)
+        keys[n] = packLevelKey(desc, in.coord(n));
+    // Concordant formats (CSR, CSF, ...) list the input in key order already.
+    if (!std::is_sorted(keys.begin(), keys.end()))
+        std::sort(keys.begin(), keys.end());
+    return footprintOfSorted(
+        desc, keys.size(), [&](u64 i) { return keys[i]; }, max_bytes);
+}
+
+HierSparseTensor
+HierSparseTensor::build(const FormatDescriptor& desc, const SparseInput& in,
+                        u64 max_bytes)
+{
+    checkInputMatches(desc, in);
+    const u32 num_levels = desc.numLevels();
+    const u32 bits = levelKeyBits(desc);
+    const u64 nnz = in.nnz();
+
+    // Sort nonzeros lexicographically in level order, remembering each
+    // one's input index for its value.
+    std::vector<std::pair<LevelKey, u32>> keyed(nnz);
+    for (u64 n = 0; n < nnz; ++n)
+        keyed[n] = {packLevelKey(desc, in.coord(n)), static_cast<u32>(n)};
+    std::sort(keyed.begin(), keyed.end());
+    FormatFootprint fp = footprintOfSorted(
+        desc, nnz, [&](u64 i) { return keyed[i].first; }, max_bytes);
+
+    HierSparseTensor out;
+    out.desc_ = desc;
+    out.levels_.resize(num_levels);
+    out.bytes_ = fp.bytes();
+
+    // Position of each sorted nonzero; refined level by level.
+    std::vector<u64> position(nnz, 0);
+    u64 parent_count = 1;
+    for (u32 l = 0; l < num_levels; ++l) {
+        BuiltLevel& bl = out.levels_[l];
+        bl.fmt = fp.levels[l].fmt;
+        bl.extent = desc.levelExtent(l);
+        bl.numPositions = fp.levels[l].numPositions;
+        const u32 shift = bits * (num_levels - 1 - l);
+        const LevelKey mask = (LevelKey{1} << bits) - 1;
+        auto coord_of = [&](u64 idx) {
+            return static_cast<u32>((keyed[idx].first >> shift) & mask);
+        };
+        if (bl.fmt == LevelFormat::Uncompressed) {
+            for (u64 idx = 0; idx < nnz; ++idx)
+                position[idx] = position[idx] * bl.extent + coord_of(idx);
+        } else {
+            // A new position wherever the prefix of levels 0..l changes.
             bl.pos.assign(parent_count + 1, 0);
-            bl.crd.clear();
-            bl.crd.reserve(nnz);
-            u64 prev_parent = ~0ull;
-            u32 prev_coord = 0;
-            std::vector<u64> new_position(nnz);
+            bl.crd.reserve(bl.numPositions);
             for (u64 idx = 0; idx < nnz; ++idx) {
-                u64 n = order[idx];
-                u64 parent = position[n];
-                u32 coord = lc[l][n];
-                if (parent != prev_parent || coord != prev_coord ||
-                    bl.crd.empty()) {
-                    bl.crd.push_back(coord);
-                    ++bl.pos[parent + 1];
-                    prev_parent = parent;
-                    prev_coord = coord;
+                if (idx == 0 || (keyed[idx].first >> shift) !=
+                                    (keyed[idx - 1].first >> shift)) {
+                    bl.crd.push_back(coord_of(idx));
+                    ++bl.pos[position[idx] + 1];
                 }
-                new_position[n] = bl.crd.size() - 1;
+                position[idx] = bl.crd.size() - 1;
             }
             for (u64 p = 0; p < parent_count; ++p)
                 bl.pos[p + 1] += bl.pos[p];
-            position = std::move(new_position);
-            bl.numPositions = bl.crd.size();
-            out.bytes_ += kEntryBytes * (bl.pos.size() + bl.crd.size());
         }
         parent_count = bl.numPositions;
     }
 
-    if (parent_count > max_positions)
-        throw FormatTooLarge("value array exceeds budget in " + desc.name());
     out.vals_.assign(parent_count, 0.0f);
-    for (u64 n = 0; n < nnz; ++n)
-        out.vals_[position[n]] += vals[n];
-    out.bytes_ += kEntryBytes * parent_count;
+    const std::vector<float>& vals = in.values();
+    for (u64 idx = 0; idx < nnz; ++idx)
+        out.vals_[position[idx]] += vals[keyed[idx].second];
     return out;
 }
 

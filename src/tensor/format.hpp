@@ -152,7 +152,8 @@ class HierSparseTensor
 {
   public:
     /** Build a matrix or 3-tensor in the given format (the descriptor's
-     *  order and dims must match the input's).
+     *  order and dims must match the input's). Sizes every level with
+     *  formatFootprint's count before allocating any array.
      *  @throws FormatTooLarge if storage would exceed @p max_bytes. */
     static HierSparseTensor build(const FormatDescriptor& desc,
                                   const SparseInput& in,
@@ -196,11 +197,6 @@ class HierSparseTensor
   private:
     HierSparseTensor() = default;
 
-    static HierSparseTensor buildImpl(const FormatDescriptor& desc,
-                                      const std::vector<std::array<u32, 3>>& coords,
-                                      const std::vector<float>& vals,
-                                      u64 max_bytes);
-
     /** Reconstruct full coordinates from per-level coordinates.
      *  @return false if a padding coordinate is out of bounds. */
     bool reconstruct(const std::vector<u32>& level_coords,
@@ -235,5 +231,34 @@ class HierSparseTensor
     std::vector<float> vals_;
     u64 bytes_ = 0;
 };
+
+/**
+ * The storage sizes of a format over an input: what HierSparseTensor::build
+ * would allocate, without building its pos, crd and val arrays. A U level
+ * has parent positions × extent positions; a C level has one position per
+ * distinct prefix of level coordinates (Chou et al.), counted from one sort
+ * of the nonzeros' packed level keys.
+ */
+struct FormatFootprint
+{
+    struct Level
+    {
+        LevelFormat fmt = LevelFormat::Uncompressed;
+        /** Number of positions after this level (BuiltLevel::numPositions). */
+        u64 numPositions = 0;
+    };
+    std::vector<Level> levels;
+
+    /** Equals HierSparseTensor::bytes() of the built tensor. */
+    u64 bytes() const;
+    /** Equals HierSparseTensor::storedValues() of the built tensor. */
+    u64 storedValues() const;
+};
+
+/** The footprint of @p desc over @p in, with build's checks and messages.
+ *  @throws FormatTooLarge if storage would exceed @p max_bytes. */
+FormatFootprint formatFootprint(
+    const FormatDescriptor& desc, const SparseInput& in,
+    u64 max_bytes = HierSparseTensor::kDefaultMaxBytes);
 
 } // namespace waco

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -425,6 +426,7 @@ TEST_F(ObservabilityTest, TunePipelineTracedVsUntracedIsIdentical)
     u64 tune_calls0 = reg.counter("tune.calls").total();
     u64 cost_evals0 = reg.counter("tune.cost_evals").total();
     u64 measure_calls0 = reg.counter("measure.calls").total();
+    u64 distinct_scans0 = reg.counter("perfmodel.distinct_scans").total();
     trace::clear();
     trace::setEnabled(true);
     metrics::setEnabled(true);
@@ -477,6 +479,14 @@ TEST_F(ObservabilityTest, TunePipelineTracedVsUntracedIsIdentical)
     ASSERT_GE(measure_calls.size(), 1u);
     for (const auto& mc : measure_calls)
         EXPECT_EQ(mc.parent, measure[0].id);
+    // Under each measure.call, the oracle's own span.
+    auto oracle_runs = named(spans, "perfmodel.oracle");
+    ASSERT_GE(oracle_runs.size(), measure_calls.size());
+    std::set<u64> call_ids;
+    for (const auto& mc : measure_calls)
+        call_ids.insert(mc.id);
+    for (const auto& o : oracle_runs)
+        EXPECT_EQ(call_ids.count(o.parent), 1u);
 
     // And the metrics registry saw exactly this one tune.
     EXPECT_EQ(reg.counter("tune.calls").total() - tune_calls0, 1u);
@@ -484,6 +494,7 @@ TEST_F(ObservabilityTest, TunePipelineTracedVsUntracedIsIdentical)
               traced.costEvaluations);
     EXPECT_EQ(reg.counter("measure.calls").total() - measure_calls0,
               traced.topK.size() + (traced.fellBack ? 1u : 0u));
+    EXPECT_GT(reg.counter("perfmodel.distinct_scans").total(), distinct_scans0);
 
     // The serialized trace of a real pipeline run must round-trip.
     std::string json = trace::serializeChromeTrace(spans);
