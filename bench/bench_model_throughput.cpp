@@ -3,8 +3,7 @@
  * Cost-model inference-engine throughput: schedules/sec through the feature
  * extractor, the program embedder, the predictor head, and the end-to-end
  * generic graph walk (blocked GEMM, cached rulebooks, hoisted query
- * feature, frontier-batched scoring). Emits BENCH_model.json with one row
- * per stage.
+ * feature, frontier-batched scoring), one row per stage.
  *
  * `--smoke` shrinks every size for the tier-1 ctest run and hard-fails
  * (exit 1) when the batched walk's hits differ from the scalar walk's.
@@ -218,28 +217,6 @@ main(int argc, char** argv)
         printRow({r.name, r.unit, numCell(r.perSec, 1)}, {14, 18, 14});
     std::printf("batched search hits %s scalar hits\n",
                 identical ? "identical to" : "DIFFER FROM");
-
-    // ---- BENCH_model.json -----------------------------------------------
-    if (FILE* f = std::fopen("BENCH_model.json", "w")) {
-        std::fprintf(f, "{\n  \"bench\": \"model_throughput\",\n");
-        std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-        std::fprintf(f, "  \"corpus_nodes\": %u,\n  \"ef_search\": %u,\n",
-                     kNodes, kEf);
-        std::fprintf(f, "  \"batched_hits_identical\": %s,\n",
-                     identical ? "true" : "false");
-        std::fprintf(f, "  \"rows\": [\n");
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const auto& r = rows[i];
-            std::fprintf(f,
-                         "    {\"name\": \"%s\", \"unit\": \"%s\", "
-                         "\"per_sec\": %.3f}%s\n",
-                         r.name.c_str(), r.unit.c_str(), r.perSec,
-                         i + 1 < rows.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote BENCH_model.json\n");
-    }
 
     writeObservabilityOutputs();
     std::printf("[bench completed in %.1fs]\n", total.seconds());

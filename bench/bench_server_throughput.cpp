@@ -4,7 +4,7 @@
  * firing a repeat-heavy request mix (cache hits), a slice of tight
  * deadlines (degradation), and unconstrained full searches at a
  * TunerService, reporting requests/sec, p50/p99 latency, the shed rate,
- * and the degradation-rung breakdown. Emits BENCH_server.json.
+ * and the degradation-rung breakdown.
  *
  * `--smoke` shrinks every size for the tier-1 ctest run and hard-fails
  * (exit 1) when any request comes back Failed or un-typed — the service's
@@ -148,7 +148,7 @@ main(int argc, char** argv)
     if (compiledBackend().compilerAvailable()) {
         warm_ran = true;
         metrics::setEnabled(true);
-        WallclockMeasurer wallclock(compiledBackend(), {});
+        WallclockMeasurer wallclock(compiledBackend());
         tuner.setMeasurementBackend(wallclock);
         auto serve_pool_once = [&] {
             TunerService jit_server(tuner, cfg);
@@ -170,32 +170,6 @@ main(int argc, char** argv)
         printRow({"warm-cache rung", "skipped (no cc)"}, widths);
     }
 
-    // ---- BENCH_server.json --------------------------------------------
-    if (FILE* f = std::fopen("BENCH_server.json", "w")) {
-        std::fprintf(f, "{\n  \"bench\": \"server_throughput\",\n");
-        std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-        std::fprintf(f, "  \"requests\": %u,\n", total);
-        std::fprintf(f, "  \"client_threads\": %u,\n", threads);
-        std::fprintf(f, "  \"wall_seconds\": %.6f,\n", seconds);
-        std::fprintf(f, "  \"throughput_rps\": %.3f,\n", rps);
-        std::fprintf(f, "  \"latency_p50_ms\": %.6f,\n",
-                     stats.latencyP50 * 1e3);
-        std::fprintf(f, "  \"latency_p99_ms\": %.6f,\n",
-                     stats.latencyP99 * 1e3);
-        std::fprintf(f, "  \"shed_rate\": %.6f,\n", shed_rate);
-        std::fprintf(f, "  \"failed\": %llu,\n",
-                     static_cast<unsigned long long>(failed));
-        std::fprintf(f, "  \"warm_cache_rung\": %s,\n",
-                     warm_ran ? "true" : "false");
-        std::fprintf(f, "  \"cold_compiles\": %llu,\n",
-                     static_cast<unsigned long long>(cold_compiles));
-        std::fprintf(f, "  \"warm_recompiles\": %llu,\n",
-                     static_cast<unsigned long long>(warm_recompiles));
-        std::fprintf(f, "  \"service_stats\": %s}\n",
-                     stats.toJson().c_str());
-        std::fclose(f);
-        std::printf("\nwrote BENCH_server.json\n");
-    }
     writeObservabilityOutputs();
 
     // Hard contract checks (tier-1 smoke gate): every response is typed,

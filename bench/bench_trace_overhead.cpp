@@ -10,8 +10,8 @@
  * contract from DESIGN.md §8. For reference the enabled path is timed
  * too (expected to cost real time; no assertion).
  *
- * `--smoke` shrinks repetitions for the tier-1 ctest run but keeps the
- * 2% hard failure (exit 1).
+ * `--smoke` shrinks repetitions for the `perf` ctest gate
+ * (`ctest -C perf -L perf`) but keeps the 2% hard failure (exit 1).
  */
 #include <cstdio>
 #include <cstring>

@@ -20,9 +20,6 @@
  * exit code is 1 when any WACO-… error-severity finding fires, 0
  * otherwise.
  *
- * --no-asym-filter disables the tuner's stage-0 asymptotic dominance
- * filter, reproducing the pre-filter measurement protocol exactly.
- *
  * --serve demos the tuning-as-a-service layer instead of a single tune:
  * a TunerService is stood up over the trained tuner and a batch of
  * requests (repeats included, so the cross-request cache shows itself) is
@@ -39,7 +36,6 @@
  *          [--retries N] [--median K] [--checkpoint FILE]
  *          [--trace-out FILE] [--metrics-out FILE]
  *          [--verify-only] [--schedule KEY] [--diag-out FILE]
- *          [--no-asym-filter]
  *          [--serve] [--deadline-ms N] [--max-queue N]
  *          [--cache-journal FILE]
  *          [--backend interp|compiled]
@@ -83,7 +79,6 @@ usage(const char* argv0)
                  "          [--trace-out FILE] [--metrics-out FILE]\n"
                  "          [--verify-only] [--schedule KEY] "
                  "[--diag-out FILE]\n"
-                 "          [--no-asym-filter]\n"
                  "          [--serve] [--deadline-ms N] [--max-queue N]\n"
                  "          [--cache-journal FILE]\n"
                  "          [--backend interp|compiled]\n"
@@ -128,7 +123,6 @@ run(int argc, char** argv)
     std::string checkpoint_path;
     std::string trace_path, metrics_path;
     bool verify_only = false;
-    bool asym_filter = true;
     std::string schedule_key, diag_path;
     bool serve = false;
     double deadline_ms = std::numeric_limits<double>::infinity();
@@ -194,8 +188,6 @@ run(int argc, char** argv)
             metrics_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--verify-only")) {
             verify_only = true;
-        } else if (!std::strcmp(argv[i], "--no-asym-filter")) {
-            asym_filter = false;
         } else if (!std::strcmp(argv[i], "--schedule")) {
             if (i + 1 >= argc)
                 usage(argv[0]);
@@ -290,7 +282,6 @@ run(int argc, char** argv)
     }
 
     WacoOptions opt;
-    opt.asymFilter = asym_filter;
     opt.extractorConfig.channels = 8;
     opt.extractorConfig.numLayers = 6;
     opt.extractorConfig.featureDim = 32;
@@ -447,12 +438,10 @@ run(int argc, char** argv)
     std::printf("expected: %.3f ms vs CSR default %.3f ms (%.2fx)\n",
                 outcome.bestMeasured.seconds * 1e3, fixed.seconds * 1e3,
                 fixed.seconds / outcome.bestMeasured.seconds);
-    if (opt.asymFilter) {
-        std::printf("asym filter: %llu dominated candidate(s) dropped "
-                    "unmeasured, %llu kept\n",
-                    static_cast<unsigned long long>(outcome.asymRejected),
-                    static_cast<unsigned long long>(outcome.asymKept));
-    }
+    std::printf("asym filter: %llu dominated candidate(s) dropped "
+                "unmeasured, %llu kept\n",
+                static_cast<unsigned long long>(outcome.asymRejected),
+                static_cast<unsigned long long>(outcome.asymKept));
     if (faulty) {
         const auto& st = outcome.remeasureStats;
         std::printf("remeasure stats: %llu attempts, %llu retries, "

@@ -563,22 +563,22 @@ explainDomination(const AsymptoticBounds& a, const AsymptoticBounds& b)
     return out;
 }
 
-std::vector<std::size_t>
-paretoFilter(const std::vector<AsymptoticBounds>& all)
+std::vector<std::optional<std::size_t>>
+paretoFilter(const std::vector<AsymptoticBounds>& ranked)
 {
+    std::vector<std::optional<std::size_t>> pruner(ranked.size());
     std::vector<std::size_t> kept;
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        bool dominated = false;
-        for (std::size_t j = 0; j < all.size(); ++j) {
-            if (j != i && dominates(all[j], all[i])) {
-                dominated = true;
+    for (std::size_t i = 0; i < ranked.size(); ++i) {
+        for (std::size_t k : kept) {
+            if (prunes(ranked[k], ranked[i])) {
+                pruner[i] = k;
                 break;
             }
         }
-        if (!dominated)
+        if (!pruner[i])
             kept.push_back(i);
     }
-    return kept;
+    return pruner;
 }
 
 void

@@ -41,9 +41,9 @@
  * profile carries a `tight` flag (no incomparable clamp fired) and
  * prunes(a, b) = dominates(a, b) && b.tight is the filter relation.
  *
- * The tuner uses prunes() as a Pareto filter over the top-k candidate
- * list: a candidate is discarded only when an already-kept candidate
- * dominates it AND its own bounds are tight, so incomparable or
+ * paretoFilter() applies prunes() over the tuner's rank-ordered top-k
+ * candidate list: a candidate is discarded only when an already-kept
+ * candidate dominates it AND its own bounds are tight, so incomparable or
  * loose-bounded candidates all survive and there is never a total-order
  * sort. asymptoticPerfNotes() surfaces the same comparison against the
  * default CSR/CSF schedule as WACO-S3xx perf-note diagnostics
@@ -53,6 +53,7 @@
 
 #include <array>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -196,13 +197,17 @@ std::string explainDomination(const AsymptoticBounds& a,
                               const AsymptoticBounds& b);
 
 /**
- * Pareto filter: indices (ascending) of every profile not dominated by
- * any other profile in @p all. Never a total-order sort: incomparable
- * profiles all survive, and every dropped index is dominated by some
- * kept index.
+ * The tuner's stage-0 Pareto filter over a rank-ordered candidate list:
+ * walk @p ranked in order and drop a profile exactly when an earlier KEPT
+ * profile prunes() it. Returns, per profile, the index of the first kept
+ * profile that prunes it, or nullopt when it is kept. Never a total-order
+ * sort: incomparable and loose-bounded profiles all survive, and a kept
+ * profile is never removed by a later one (the later one is measured too
+ * and wins on its own merits), so whenever the backend respects
+ * dominance on the measured shape the filter cannot change the winner.
  */
-std::vector<std::size_t>
-paretoFilter(const std::vector<AsymptoticBounds>& all);
+std::vector<std::optional<std::size_t>>
+paretoFilter(const std::vector<AsymptoticBounds>& ranked);
 
 /**
  * WACO-S3xx perf notes: compare @p s against the default CSR/CSF

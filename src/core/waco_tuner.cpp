@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "analysis/asymptotic_cost.hpp"
@@ -84,28 +85,25 @@ WacoTuner::buildGraph()
 {
     WACO_SPAN("train.build_graph");
     nodes_ = dataset_.allSchedules();
-    if (opt_.pruneCandidates) {
-        // Graph nodes span entries with different problem shapes, so only
-        // the structure-only verification applies here; shape-aware checks
-        // run again per query in the remeasurement pass. Sampled schedules
-        // always pass — this guards datasets loaded from disk or built by
-        // external tools.
-        std::size_t kept = 0;
-        for (std::size_t n = 0; n < nodes_.size(); ++n) {
-            if (analysis::verifySchedule(nodes_[n]).hasErrors()) {
-                WACO_COUNT("analysis.rejected", 1);
-                continue;
-            }
-            if (kept != n)
-                nodes_[kept] = std::move(nodes_[n]);
-            ++kept;
+    // Graph nodes span entries with different problem shapes, so only the
+    // structure-only verification applies here; shape-aware checks run
+    // again per query in tune(). Sampled schedules always pass — this
+    // guards datasets loaded from disk or built by external tools.
+    std::size_t kept = 0;
+    for (std::size_t n = 0; n < nodes_.size(); ++n) {
+        if (analysis::verifySchedule(nodes_[n]).hasErrors()) {
+            WACO_COUNT("analysis.rejected", 1);
+            continue;
         }
-        if (kept != nodes_.size()) {
-            logWarn("static verifier dropped " +
-                    std::to_string(nodes_.size() - kept) +
-                    " malformed schedules from the KNN graph");
-            nodes_.resize(kept);
-        }
+        if (kept != n)
+            nodes_[kept] = std::move(nodes_[n]);
+        ++kept;
+    }
+    if (kept != nodes_.size()) {
+        logWarn("static verifier dropped " +
+                std::to_string(nodes_.size() - kept) +
+                " malformed schedules from the KNN graph");
+        nodes_.resize(kept);
     }
     fatalIf(nodes_.empty(), "cannot build a KNN graph with no schedules");
     // Embed in chunks to bound peak memory.
@@ -192,6 +190,15 @@ WacoTuner::tune(const SparseInput& in, const TuneControl& ctl)
     if (hits.empty())
         throw CancelledError("tune cancelled before any candidate scored");
 
+    // Each hit's shape-aware verifier verdict, decided the first time a
+    // stage needs it and reused by every later one.
+    std::vector<std::optional<analysis::DiagnosticBag>> verdicts(hits.size());
+    auto verdict = [&](std::size_t i) -> const analysis::DiagnosticBag& {
+        if (!verdicts[i])
+            verdicts[i] = analysis::verifySchedule(nodes_[hits[i].id], shape);
+        return *verdicts[i];
+    };
+
     // Model-only selection: the best verifier-clean hit by predicted cost,
     // reported unmeasured. Used by the skipMeasure rung (circuit breaker
     // open) and as the last in-tuner rung when a deadline expires before
@@ -199,17 +206,15 @@ WacoTuner::tune(const SparseInput& in, const TuneControl& ctl)
     auto pick_by_model = [&]() {
         out.modelOnly = true;
         WACO_COUNT("tune.model_only", 1);
-        for (const auto& hit : hits) {
-            const SuperSchedule& s = nodes_[hit.id];
-            if (opt_.pruneCandidates &&
-                analysis::verifySchedule(s, shape).hasErrors()) {
+        for (std::size_t i = 0; i < hits.size(); ++i) {
+            if (verdict(i).hasErrors()) {
                 ++out.verifierRejected;
                 WACO_COUNT("analysis.rejected", 1);
                 continue;
             }
-            out.best = s;
+            out.best = nodes_[hits[i].id];
             out.bestMeasured = Measurement{};
-            out.bestMeasured.seconds = hit.dist; // predicted, not measured
+            out.bestMeasured.seconds = hits[i].dist; // predicted, not measured
             out.bestMeasured.valid = false;
             out.bestMeasured.invalidReason = "model-only";
             return;
@@ -232,51 +237,36 @@ WacoTuner::tune(const SparseInput& in, const TuneControl& ctl)
         return out;
     }
 
-    // Stage 0 of the pruning pipeline: drop top-k candidates that an
-    // already-kept EARLIER candidate asymptotically prunes (dominates,
-    // and the candidate's own bounds are tight — loose-bounded profiles
-    // may overshoot their actual cost and always survive to measurement),
-    // before any of them reaches the backend. Order matters for winner
-    // preservation: a kept candidate is never retroactively removed when
-    // a later arrival dominates it (the later one measures too and wins
-    // on its own merits), and incomparable candidates all survive — a
-    // Pareto filter, never a total-order sort. Structurally illegal
-    // candidates pass through untouched so the measurement loop's
-    // verifier keeps rejecting (and counting) them exactly as before.
-    std::vector<HnswHit> cands;
-    if (opt_.pruneCandidates && opt_.asymFilter) {
+    // Stage 0: drop legal hits that an already-kept EARLIER hit
+    // asymptotically prunes (analysis::paretoFilter), before any of them
+    // reaches the backend. Illegal hits pass through untouched so the
+    // measurement loop rejects (and counts) them.
+    std::vector<bool> dropped(hits.size(), false);
+    {
         WACO_SPAN("tune.asym_filter");
-        std::vector<analysis::AsymptoticBounds> kept;
-        cands.reserve(hits.size());
-        for (const auto& hit : hits) {
-            const SuperSchedule& s = nodes_[hit.id];
-            if (analysis::verifySchedule(s, shape).hasErrors()) {
-                cands.push_back(hit);
+        std::vector<std::size_t> legal;
+        std::vector<analysis::AsymptoticBounds> profiles;
+        for (std::size_t i = 0; i < hits.size(); ++i) {
+            if (verdict(i).hasErrors())
                 continue;
-            }
-            analysis::AsymptoticBounds b =
-                analysis::asymptoticBounds(s, shape);
-            bool dominated = false;
-            for (const auto& k : kept) {
-                if (analysis::prunes(k, b)) {
-                    dominated = true;
-                    logDebug("asym filter dropped candidate: " +
-                             analysis::explainDomination(k, b));
-                    break;
-                }
-            }
-            if (dominated) {
-                ++out.asymRejected;
-                WACO_COUNT("analysis.asym_rejected", 1);
-                continue;
-            }
-            kept.push_back(std::move(b));
-            ++out.asymKept;
-            WACO_COUNT("analysis.asym_kept", 1);
-            cands.push_back(hit);
+            legal.push_back(i);
+            profiles.push_back(
+                analysis::asymptoticBounds(nodes_[hits[i].id], shape));
         }
-    } else {
-        cands.assign(hits.begin(), hits.end());
+        const auto pruner = analysis::paretoFilter(profiles);
+        for (std::size_t j = 0; j < legal.size(); ++j) {
+            if (!pruner[j]) {
+                ++out.asymKept;
+                WACO_COUNT("analysis.asym_kept", 1);
+                continue;
+            }
+            logDebug("asym filter dropped candidate: " +
+                     analysis::explainDomination(profiles[*pruner[j]],
+                                                 profiles[j]));
+            ++out.asymRejected;
+            WACO_COUNT("analysis.asym_rejected", 1);
+            dropped[legal[j]] = true;
+        }
     }
 
     // Phase 3: re-measure the top-k on the "hardware" and keep the fastest
@@ -290,7 +280,9 @@ WacoTuner::tune(const SparseInput& in, const TuneControl& ctl)
         // result. Safe because lower() and the oracle only see the active
         // orders, which canonicalization preserves exactly.
         std::unordered_map<std::string, Measurement> measured;
-        for (const auto& hit : cands) {
+        for (std::size_t i = 0; i < hits.size(); ++i) {
+            if (dropped[i])
+                continue;
             // Between-measurement cancellation point: keep whatever top-k
             // prefix is already measured instead of hogging the backend
             // past the deadline.
@@ -299,33 +291,29 @@ WacoTuner::tune(const SparseInput& in, const TuneControl& ctl)
                 WACO_COUNT("tune.truncated_measure", 1);
                 break;
             }
-            const SuperSchedule& s = nodes_[hit.id];
+            const SuperSchedule& s = nodes_[hits[i].id];
+            const analysis::DiagnosticBag& diags = verdict(i);
+            if (diags.hasErrors()) {
+                ++out.verifierRejected;
+                WACO_COUNT("analysis.rejected", 1);
+                logWarn("verifier rejected top-k candidate:\n" +
+                        diags.format());
+                continue;
+            }
+            std::string ck = analysis::canonicalKey(s);
+            if (ck != s.key()) {
+                ++out.candidatesCanonicalized;
+                WACO_COUNT("analysis.canonicalized", 1);
+            }
             Measurement m;
-            if (opt_.pruneCandidates) {
-                auto diags = analysis::verifySchedule(s, shape);
-                if (diags.hasErrors()) {
-                    ++out.verifierRejected;
-                    WACO_COUNT("analysis.rejected", 1);
-                    logWarn("verifier rejected top-k candidate:\n" +
-                            diags.format());
-                    continue;
-                }
-                std::string ck = analysis::canonicalKey(s);
-                if (ck != s.key()) {
-                    ++out.candidatesCanonicalized;
-                    WACO_COUNT("analysis.canonicalized", 1);
-                }
-                auto it = measured.find(ck);
-                if (it != measured.end()) {
-                    ++out.measurementsReused;
-                    WACO_COUNT("analysis.measurements_reused", 1);
-                    m = it->second;
-                } else {
-                    m = robust.measure(in, shape, s);
-                    measured.emplace(std::move(ck), m);
-                }
+            auto it = measured.find(ck);
+            if (it != measured.end()) {
+                ++out.measurementsReused;
+                WACO_COUNT("analysis.measurements_reused", 1);
+                m = it->second;
             } else {
                 m = robust.measure(in, shape, s);
+                measured.emplace(std::move(ck), m);
             }
             out.topK.push_back(s);
             out.topKMeasured.push_back(m);

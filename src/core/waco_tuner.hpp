@@ -41,29 +41,16 @@ struct WacoOptions
     u32 hnswM = 16;
     u32 efConstruction = 60;
     u32 efSearch = 40;
-    u32 topK = 10;               ///< Re-measured candidates (Section 5.2).
     /**
-     * Run the static verifier over search candidates: graph nodes with
-     * structural errors are dropped at build time, and the top-k
-     * remeasurement pass rejects illegal candidates and dedupes
-     * measurement-equivalent ones by canonical key (degenerate-slot
-     * permutations lower to the same nest), reusing the first
-     * measurement. Never changes which schedule wins — only how many
-     * candidates are measured. OFF reproduces the unpruned protocol.
+     * Candidates re-measured on the backend (Section 5.2). tune() runs
+     * them through one pipeline: the static verifier rejects illegal
+     * ones, the stage-0 asymptotic filter (analysis::paretoFilter) drops
+     * those an earlier kept candidate prunes, and measurement-equivalent
+     * ones (same canonical key: degenerate-slot permutations lower to the
+     * same nest) reuse the first measurement. None of these changes which
+     * schedule wins — only how many candidates are measured.
      */
-    bool pruneCandidates = true;
-    /**
-     * Stage 0 of pruneCandidates: before any top-k candidate is measured,
-     * discard candidates asymptotically pruned by an already-kept one
-     * (analysis::prunes — every bound <=, at least one strictly, and the
-     * candidate's own bounds tight; a Pareto filter, never a total-order
-     * sort, so incomparable or loose-bounded candidates all survive).
-     * Whenever the backend respects asymptotic dominance on the measured
-     * shape this cannot change the winner — only how many candidates are
-     * measured. OFF (or pruneCandidates OFF) reproduces the unfiltered
-     * protocol exactly (tune_cli --no-asym-filter).
-     */
-    bool asymFilter = true;
+    u32 topK = 10;
     u64 seed = 42;
     /** Retry/denoise policy for every measurement (labeling + top-k
      *  remeasurement). The default (1 sample, 3 attempts) is a no-op on a
@@ -109,19 +96,19 @@ struct TuneOutcome
 
     /** Retry/fault/timeout counters of the top-k remeasurement pass. */
     MeasureStats remeasureStats;
-    /** Top-k candidates rejected by the static verifier (pruning on). */
+    /** Top-k candidates rejected by the static verifier. */
     u64 verifierRejected = 0;
     /** Top-k candidates whose canonical form differs from their raw form
      *  (degenerate-slot bookkeeping only; measurement-equivalent). */
     u64 candidatesCanonicalized = 0;
     /** Measurements served from a canonical-duplicate's earlier result
-     *  instead of a fresh oracle call (pruning on). */
+     *  instead of a fresh oracle call. */
     u64 measurementsReused = 0;
     /** Top-k candidates discarded unmeasured by the stage-0 asymptotic
-     *  dominance filter (pruning + asymFilter on). */
+     *  dominance filter. */
     u64 asymRejected = 0;
     /** Candidates that survived the stage-0 filter — the Pareto-kept set
-     *  the measurement loop actually runs (pruning + asymFilter on). */
+     *  the measurement loop actually runs. */
     u64 asymKept = 0;
     /** True when every top-k candidate came back invalid or faulted and
      *  the tuner degraded to the CSR-row-parallel default schedule. */

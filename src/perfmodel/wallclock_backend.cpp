@@ -13,6 +13,9 @@ namespace waco {
 
 namespace {
 
+/** Timed executions per measure(); their median is reported. */
+constexpr u32 kTimedRounds = 3;
+
 /** Deterministic integer-valued fill: measurements must not depend on
  *  which measure() call happened first. */
 void
@@ -97,8 +100,8 @@ WallclockMeasurer::run(const HierSparseTensor& t, const ProblemShape& shape,
     exec_.execute(nest, args, par);
 
     std::vector<double> rounds;
-    rounds.reserve(std::max(1u, opt_.rounds));
-    for (u32 r = 0; r < std::max(1u, opt_.rounds); ++r) {
+    rounds.reserve(kTimedRounds);
+    for (u32 r = 0; r < kTimedRounds; ++r) {
         auto t0 = std::chrono::steady_clock::now();
         exec_.execute(nest, args, par);
         auto t1 = std::chrono::steady_clock::now();

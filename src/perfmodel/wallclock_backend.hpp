@@ -10,8 +10,9 @@
  * layouts the schedule picked, and executes the nest through an injected
  * KernelBackend — the interpreter, or the JIT'd CompiledBackend, which is
  * what `tune_cli --backend compiled` wires up. One warm-up run pays
- * compilation/caching up front; the reported time is the median of the
- * timed rounds. The schedule's thread annotation is capped at the host's
+ * compilation/caching up front; the reported time is the median of three
+ * timed rounds (RetryPolicy::medianOf repeats whole measurements above
+ * this). The schedule's thread annotation is capped at the host's
  * hardware threads: the paper's 24/48-thread annotations would
  * oversubscribe a small machine into pure noise. Only the
  * `seconds`/`valid`/storage fields of Measurement are populated — the
@@ -26,19 +27,11 @@
 
 namespace waco {
 
-/** Tuning knobs of one WallclockMeasurer. */
-struct WallclockOptions
-{
-    u32 rounds = 3; ///< Timed executions per measure(); median reported.
-};
-
 /** Measures (input, shape, schedule) triples by executing them. */
 class WallclockMeasurer final : public MeasurementBackend
 {
   public:
-    explicit WallclockMeasurer(KernelBackend& exec, WallclockOptions opt = {})
-        : exec_(exec), opt_(opt)
-    {}
+    explicit WallclockMeasurer(KernelBackend& exec) : exec_(exec) {}
 
     Measurement measure(const SparseInput& in, const ProblemShape& shape,
                         const SuperSchedule& s) const override;
@@ -53,7 +46,6 @@ class WallclockMeasurer final : public MeasurementBackend
                     const SuperSchedule& s) const;
 
     KernelBackend& exec_;
-    WallclockOptions opt_;
     mutable std::atomic<u64> measurements_{0};
 };
 

@@ -10,19 +10,23 @@
  *    zero search cost, the fused default must price its workspace);
  *  - PROPERTY tests: dominance is a strict partial order — irreflexive,
  *    antisymmetric, transitive — over >= 500 sampled schedule pairs per
- *    algorithm, and the Pareto filter keeps every non-dominated profile
- *    (no dominated survivor, no incomparable casualty);
- *  - a SOUNDNESS DIFFERENTIAL extending PR 5's A/B pattern to the
- *    analytic stage: seeded tuner runs on all five algorithms must pick
- *    the identical measured winner with strictly fewer measurements when
- *    the filter is on;
- *  - an ORACLE-AGREEMENT test: whenever dominates(a, b) holds, the
- *    perfmodel never ranks b more than epsilon better than a on matched
- *    shapes (the filter's soundness assumption, checked empirically).
+ *    algorithm, and the in-order Pareto filter drops a profile exactly
+ *    when an earlier kept one prunes it (no pruned survivor, no
+ *    incomparable or loose casualty);
+ *  - a SOUNDNESS DIFFERENTIAL: seeded tuner runs on all five algorithms
+ *    must pick the same measured winner as a brute-force reference that
+ *    measures every hit of the same walk, with strictly fewer
+ *    measurements;
+ *  - an ORACLE-AGREEMENT test: every candidate the filter drops from a
+ *    real walk measures no more than epsilon better than the best hit
+ *    (the filter's soundness assumption, checked empirically).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "analysis/asymptotic_cost.hpp"
@@ -284,49 +288,48 @@ TEST(AsymDominanceProperty, StrictPartialOrderPerAlgorithm)
 
 TEST(AsymDominanceProperty, ParetoFilterKeepsExactlyTheNonDominated)
 {
+    std::size_t droppedTotal = 0;
     for (Algorithm alg : allAlgorithms()) {
         SCOPED_TRACE(algorithmName(alg));
         auto bounds = sampledBounds(alg, 32, 0xBEE + static_cast<u64>(alg));
-        auto kept = analysis::paretoFilter(bounds);
+        auto pruner = analysis::paretoFilter(bounds);
+        ASSERT_EQ(pruner.size(), bounds.size());
 
-        std::vector<bool> isKept(bounds.size(), false);
-        for (std::size_t i : kept) {
-            ASSERT_LT(i, bounds.size());
-            isKept[i] = true;
-        }
         for (std::size_t i = 0; i < bounds.size(); ++i) {
-            bool dominated = false;
-            std::size_t by = 0;
-            for (std::size_t j = 0; j < bounds.size(); ++j) {
-                if (j != i && analysis::dominates(bounds[j], bounds[i])) {
-                    dominated = true;
-                    by = j;
-                    break;
+            if (!pruner[i]) {
+                // No kept profile is pruned by an earlier kept one.
+                for (std::size_t j = 0; j < i; ++j) {
+                    EXPECT_FALSE(!pruner[j] &&
+                                 analysis::prunes(bounds[j], bounds[i]))
+                        << "kept profile " << i << " is pruned by kept " << j;
                 }
+                continue;
             }
-            if (isKept[i]) {
-                // No dominated element survives the filter.
-                EXPECT_FALSE(dominated)
-                    << "kept profile " << i << " is dominated by " << by;
-            } else {
-                // No incomparable element is dropped: every casualty has a
-                // dominator, and (dominance being transitive and acyclic)
-                // one of its dominators is itself kept.
-                EXPECT_TRUE(dominated)
-                    << "non-dominated profile " << i << " was dropped";
-                bool keptDominator = false;
-                for (std::size_t j : kept)
-                    keptDominator = keptDominator ||
-                                    analysis::dominates(bounds[j], bounds[i]);
-                EXPECT_TRUE(keptDominator)
-                    << "dropped profile " << i << " has no kept dominator";
-            }
+            // Every dropped profile names an earlier kept pruner.
+            ++droppedTotal;
+            const std::size_t k = *pruner[i];
+            ASSERT_LT(k, i);
+            EXPECT_FALSE(pruner[k]) << "pruner " << k << " was dropped";
+            EXPECT_TRUE(analysis::prunes(bounds[k], bounds[i]));
+            // An incomparable or loose profile is never dropped: the
+            // casualty is tight and dominated.
+            EXPECT_TRUE(bounds[i].tight);
+            EXPECT_TRUE(analysis::dominates(bounds[k], bounds[i]));
         }
+
+        // The same sample with every bound loose: nothing may be dropped.
+        for (auto& b : bounds)
+            b.tight = false;
+        for (const auto& p : analysis::paretoFilter(bounds))
+            EXPECT_FALSE(p) << "a loose-bounded profile was dropped";
     }
+    // The filter must not pass vacuously.
+    EXPECT_GT(droppedTotal, 0u) << "no profile dropped in any sample";
 }
 
 // ---------------------------------------------------------------------------
-// Soundness differential: same winner, strictly fewer measurements
+// Soundness differential: the same winner as measuring every hit, with
+// strictly fewer measurements
 // ---------------------------------------------------------------------------
 
 class AsymFilterAB : public ::testing::Test
@@ -336,7 +339,7 @@ class AsymFilterAB : public ::testing::Test
     void TearDown() override { setLogLevel(LogLevel::Info); }
 
     static WacoOptions
-    smallOptions(bool filter)
+    smallOptions()
     {
         WacoOptions opt;
         opt.extractorConfig.channels = 8;
@@ -347,20 +350,31 @@ class AsymFilterAB : public ::testing::Test
         // remeasurement pass, so the filter sees the full candidate set.
         opt.topK = 128;
         opt.efSearch = 160;
-        opt.pruneCandidates = true;
-        opt.asymFilter = filter;
         return opt;
     }
 
-    /** Seeded A/B on @p alg: identical tuners except for asymFilter. */
-    static void
-    runAB(Algorithm alg)
+    /** A seeded tuner for one algorithm (oracle-labeled dataset, untrained
+     *  model) and the input it tunes. */
+    struct Case
     {
-        bool threeD = algorithmInfo(alg).sparseOrder == 3;
-        WacoTuner with(alg, MachineConfig::intel24(), smallOptions(true));
-        WacoTuner without(alg, MachineConfig::intel24(),
-                          smallOptions(false));
+        std::unique_ptr<WacoTuner> tuner;
+        SparseMatrix m;
+        Sparse3Tensor t;
+        bool threeD = false;
 
+        SparseInput input() const
+        {
+            return threeD ? SparseInput(t) : SparseInput(m);
+        }
+    };
+
+    static Case
+    makeCase(Algorithm alg)
+    {
+        Case c;
+        c.threeD = algorithmInfo(alg).sparseOrder == 3;
+        c.tuner = std::make_unique<WacoTuner>(alg, MachineConfig::intel24(),
+                                              smallOptions());
         CorpusOptions copt;
         copt.count = 3;
         copt.minDim = 192;
@@ -368,45 +382,89 @@ class AsymFilterAB : public ::testing::Test
         copt.minNnz = 800;
         copt.maxNnz = 2500;
         u64 seed = 0xAB0 + static_cast<u64>(alg);
-        CostDataset ds =
-            threeD ? buildDataset(alg, makeCorpus3d(copt, seed),
-                                  with.oracle(), 10, seed + 1)
-                   : buildDataset(alg, makeCorpus(copt, seed), with.oracle(),
-                                  10, seed + 1);
-        // Same dataset + same seed: both tuners hold identical graphs.
-        with.attachDataset(ds);
-        without.attachDataset(ds);
-        ASSERT_EQ(with.graphSchedules().size(),
-                  without.graphSchedules().size());
-        ASSERT_LE(with.graphSchedules().size(),
-                  static_cast<std::size_t>(smallOptions(true).topK));
-
-        // Only the owned input differs by order; tuning is one call.
+        const RuntimeOracle& oracle = c.tuner->oracle();
+        c.tuner->attachDataset(
+            c.threeD ? buildDataset(alg, makeCorpus3d(copt, seed), oracle, 10,
+                                    seed + 1)
+                     : buildDataset(alg, makeCorpus(copt, seed), oracle, 10,
+                                    seed + 1));
+        EXPECT_LE(c.tuner->graphSchedules().size(),
+                  static_cast<std::size_t>(smallOptions().topK));
         Rng rng(seed + 2);
-        SparseMatrix m;
-        Sparse3Tensor t;
-        if (threeD)
-            t = genTensor3(200, 160, 120, 3000, rng);
+        if (c.threeD)
+            c.t = genTensor3(200, 160, 120, 3000, rng);
         else
-            m = genUniform(256, 256, 2000, rng);
-        SparseInput in = threeD ? SparseInput(t) : SparseInput(m);
-        TuneOutcome a = with.tune(in);
-        TuneOutcome b = without.tune(in);
+            c.m = genUniform(256, 256, 2000, rng);
+        return c;
+    }
 
-        // Identical measured winner...
-        EXPECT_EQ(a.best.key(), b.best.key());
-        EXPECT_EQ(a.bestMeasured.seconds, b.bestMeasured.seconds);
+    /** The tuner's walk rebuilt outside tune() through the public model,
+     *  node embeddings and graph: same scorer, k and ef, so the hits come
+     *  back in the tuner's rank order. */
+    static std::vector<HnswHit>
+    walk(WacoTuner& tuner, const SparseInput& in)
+    {
+        const WacoOptions opt = smallOptions();
+        WacoCostModel& model = tuner.model();
+        auto query = model.beginQuery(model.extractFeature(in));
+        Hnsw::BatchScoreFn score = [&](const u32* ids, u32 count,
+                                       double* dst) {
+            nn::Mat pred = model.scoreEmbeddings(query, tuner.nodeEmbeddings(),
+                                                 ids, count);
+            for (u32 i = 0; i < count; ++i)
+                dst[i] = static_cast<double>(pred.at(i, 0));
+        };
+        return tuner.graph().searchGenericBatched(
+            score, opt.topK, std::max(opt.efSearch, opt.topK));
+    }
+
+    /** Tune @p alg and compare against a brute-force reference that
+     *  measures every hit of the same walk on the oracle. */
+    static void
+    runAB(Algorithm alg)
+    {
+        Case c = makeCase(alg);
+        const SparseInput in = c.input();
+        const ProblemShape shape = ProblemShape::forInput(alg, in);
+        const auto hits = walk(*c.tuner, in);
+
+        double best = std::numeric_limits<double>::infinity();
+        std::string bestKey;
+        u32 ties = 0;
+        u64 legal = 0;
+        for (const HnswHit& hit : hits) {
+            const SuperSchedule& s = c.tuner->graphSchedules()[hit.id];
+            if (analysis::verifySchedule(s, shape).hasErrors())
+                continue;
+            ++legal;
+            Measurement m = c.tuner->oracle().measure(in, shape, s);
+            if (!m.valid || m.seconds > best)
+                continue;
+            ties = m.seconds == best ? ties + 1 : 1;
+            if (m.seconds < best)
+                bestKey = s.key();
+            best = m.seconds;
+        }
+        ASSERT_GT(legal, 0u);
+
+        TuneOutcome a = c.tuner->tune(in);
+        // The measured winner of measuring everything...
+        EXPECT_EQ(a.bestMeasured.seconds, best);
+        if (ties == 1) {
+            EXPECT_EQ(a.best.key(), bestKey);
+        }
         EXPECT_FALSE(a.fellBack);
         // ...with strictly fewer backend measurements: the filter found
         // dominated candidates and none of them reached the backend.
         EXPECT_GT(a.asymRejected, 0u) << "no dominated candidate in top-k";
         EXPECT_GT(a.asymKept, 0u);
-        EXPECT_EQ(b.asymRejected, 0u);
-        EXPECT_EQ(b.asymKept, 0u);
-        EXPECT_LT(a.remeasureStats.attempts, b.remeasureStats.attempts);
-        // The filtered run measured exactly the kept candidates (minus
-        // canonical-duplicate reuse, identical in both runs).
-        EXPECT_EQ(a.topK.size() + a.asymRejected, b.topK.size());
+        EXPECT_LT(a.remeasureStats.attempts, legal);
+        // Every hit is accounted for exactly once.
+        EXPECT_EQ(a.remeasureStats.attempts + a.measurementsReused +
+                      a.asymRejected + a.verifierRejected,
+                  hits.size());
+        EXPECT_EQ(a.topK.size() + a.asymRejected + a.verifierRejected,
+                  hits.size());
     }
 };
 
@@ -426,80 +484,56 @@ TEST_F(AsymFilterAB, FusedSDDMMSpMM)
 TEST_F(AsymFilterAB, PrunedCandidateNeverBeatsWinnerByMoreThanEpsilon)
 {
     // The filter's soundness assumption, checked WHERE THE FILTER ACTS:
-    // over the measured (unfiltered) top-k population of a real tuner
-    // run, every candidate the stage-0 relation would drop measures no
-    // better than (1 - eps) x the unfiltered winner — so dropping it
-    // unmeasured can never displace the winner by more than eps. A
-    // pairwise epsilon bound at one fixed small shape would instead be
-    // dominated by the constants the asymptotic model deliberately
-    // ignores (split sizes alone span 1..256, thread/chunk choices more),
-    // which is why the claim is stated over pruning decisions, not over
-    // arbitrary dominance pairs.
+    // over every hit of a real tuner walk, measured on the oracle, each
+    // candidate the stage-0 filter drops measures no better than
+    // (1 - eps) x the best hit — so dropping it unmeasured can never
+    // displace the winner by more than eps. A pairwise epsilon bound at
+    // one fixed small shape would instead be dominated by the constants
+    // the asymptotic model deliberately ignores (split sizes alone span
+    // 1..256, thread/chunk choices more), which is why the claim is stated
+    // over pruning decisions, not over arbitrary dominance pairs.
     constexpr double kEpsilon = 0.25;
 
     for (Algorithm alg : allAlgorithms()) {
         SCOPED_TRACE(algorithmName(alg));
-        bool threeD = algorithmInfo(alg).sparseOrder == 3;
-        WacoTuner without(alg, MachineConfig::intel24(),
-                          smallOptions(false));
+        Case c = makeCase(alg);
+        const SparseInput in = c.input();
+        const ProblemShape shape = ProblemShape::forInput(alg, in);
+        const auto hits = walk(*c.tuner, in);
 
-        CorpusOptions copt;
-        copt.count = 3;
-        copt.minDim = 192;
-        copt.maxDim = 320;
-        copt.minNnz = 800;
-        copt.maxNnz = 2500;
-        u64 seed = 0xAB0 + static_cast<u64>(alg);
-        CostDataset ds =
-            threeD ? buildDataset(alg, makeCorpus3d(copt, seed),
-                                  without.oracle(), 10, seed + 1)
-                   : buildDataset(alg, makeCorpus(copt, seed),
-                                  without.oracle(), 10, seed + 1);
-        without.attachDataset(ds);
+        std::vector<const SuperSchedule*> ranked;
+        std::vector<AsymptoticBounds> profiles;
+        std::vector<Measurement> measured;
+        double best = std::numeric_limits<double>::infinity();
+        for (const HnswHit& hit : hits) {
+            const SuperSchedule& s = c.tuner->graphSchedules()[hit.id];
+            ASSERT_FALSE(analysis::verifySchedule(s, shape).hasErrors());
+            ranked.push_back(&s);
+            profiles.push_back(analysis::asymptoticBounds(s, shape));
+            measured.push_back(c.tuner->oracle().measure(in, shape, s));
+            if (measured.back().valid)
+                best = std::min(best, measured.back().seconds);
+        }
+        ASSERT_TRUE(std::isfinite(best));
 
-        Rng rng(seed + 2);
-        SparseMatrix m;
-        Sparse3Tensor t;
-        if (threeD)
-            t = genTensor3(200, 160, 120, 3000, rng);
-        else
-            m = genUniform(256, 256, 2000, rng);
-        SparseInput in = threeD ? SparseInput(t) : SparseInput(m);
-        ProblemShape shape = ProblemShape::forInput(alg, in);
-        TuneOutcome b = without.tune(in);
-        ASSERT_FALSE(b.fellBack);
-        ASSERT_GT(b.topK.size(), 0u);
-
-        // Replay the stage-0 filter over the measured candidate list, in
-        // order, exactly as the tuner would have run it.
-        std::vector<AsymptoticBounds> kept;
+        // The filter the tuner runs, over the same rank-ordered hits.
+        const auto pruner = analysis::paretoFilter(profiles);
         std::size_t dropped = 0;
-        for (std::size_t i = 0; i < b.topK.size(); ++i) {
-            AsymptoticBounds bd =
-                analysis::asymptoticBounds(b.topK[i], shape);
-            bool pruned = false;
-            for (const auto& k : kept) {
-                if (analysis::prunes(k, bd)) {
-                    pruned = true;
-                    break;
-                }
-            }
-            if (!pruned) {
-                kept.push_back(std::move(bd));
+        for (std::size_t i = 0; i < hits.size(); ++i) {
+            if (!pruner[i])
                 continue;
-            }
             ++dropped;
-            if (i < b.topKMeasured.size() && b.topKMeasured[i].valid) {
-                EXPECT_GE(b.topKMeasured[i].seconds,
-                          b.bestMeasured.seconds * (1.0 - kEpsilon))
-                    << "pruning " << b.topK[i].key() << " ("
-                    << b.topKMeasured[i].seconds
-                    << "s) would displace the winner " << b.best.key()
-                    << " (" << b.bestMeasured.seconds << "s)";
+            if (measured[i].valid) {
+                EXPECT_GE(measured[i].seconds, best * (1.0 - kEpsilon))
+                    << "pruning " << ranked[i]->key() << " ("
+                    << measured[i].seconds
+                    << "s) would displace the best hit (" << best << "s)";
             }
         }
-        // The agreement claim must not pass vacuously.
-        EXPECT_GT(dropped, 0u) << "filter replay dropped no candidate";
+        // The agreement claim must not pass vacuously, and it is about the
+        // candidates the tuner itself drops.
+        EXPECT_GT(dropped, 0u) << "filter dropped no candidate";
+        EXPECT_EQ(c.tuner->tune(in).asymRejected, dropped);
     }
 }
 

@@ -228,7 +228,7 @@ expectSaneWallclock(KernelBackend& engine)
     Rng rng(23);
     auto m = randomMatrix(64, 64, 300, rng);
     auto shape = ProblemShape::forMatrix(Algorithm::SpMV, 64, 64);
-    WallclockMeasurer measurer(engine, {.rounds = 3});
+    WallclockMeasurer measurer(engine);
     EXPECT_EQ(&measurer.engine(), &engine);
     for (u64 call = 1; call <= 2; ++call) {
         Measurement r = measurer.measure(m, shape, defaultSchedule(shape));

@@ -32,7 +32,7 @@ class MeasureContract : public ::testing::TestWithParam<ContractParam>
   protected:
     MeasureContract()
         : faulty_(oracle_, FaultConfig{}), robust_(oracle_),
-          wallclock_(interpreterBackend(), {.rounds = 1})
+          wallclock_(interpreterBackend())
     {}
 
     Backend kind() const { return std::get<0>(GetParam()); }
