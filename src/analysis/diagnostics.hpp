@@ -154,7 +154,7 @@ class DiagnosticBag
     std::string exportJson() const;
 
     /** Throw FatalError listing every error when hasErrors(). @p context
-     *  prefixes the message ("validateSchedule", "lower", ...). */
+     *  prefixes the message ("defaultSchedule", "lower", ...). */
     void throwIfErrors(const std::string& context) const;
 
   private:

@@ -11,9 +11,11 @@
  * or strided inner loops — the Section 3.1 costs surfaced statically).
  *
  * The shape-free overload checks everything derivable from the schedule
- * alone and is what the tuner uses to filter graph candidates that span
- * many problem shapes; the shape-aware overload adds extent checks and is
- * the contract behind validateSchedule().
+ * alone; the tuner runs it once per node when it builds its KNN graph,
+ * whose nodes span many problem shapes, and tune() trusts those nodes.
+ * The shape-aware overload adds the extent and algorithm checks; it is
+ * the contract behind lower(), defaultSchedule() and
+ * wellKnownFormatSchedules().
  *
  * canonicalizeSchedule() maps a verified schedule to the representative of
  * its measurement-equivalence class: degenerate (split-1 inner) slots are

@@ -2,10 +2,8 @@
 
 #include <unordered_set>
 
-#include "analysis/schedule_verifier.hpp"
 #include "core/dataset_io.hpp"
 #include "util/logging.hpp"
-#include "util/metrics.hpp"
 
 namespace waco {
 
@@ -37,13 +35,6 @@ sampleEntry(DatasetEntry& e, Algorithm alg, const MeasurementBackend& oracle,
     auto add = [&](const SuperSchedule& s) {
         if (!seen.insert(s.key()).second)
             return;
-        // Static legality gate before paying for a measurement. Sampled
-        // and anchor schedules always pass; this protects labeling runs
-        // fed from checkpoints or hand-written schedule lists.
-        if (analysis::verifySchedule(s, e.shape).hasErrors()) {
-            WACO_COUNT("analysis.rejected", 1);
-            return;
-        }
         Measurement m;
         try {
             m = oracle.measure(e.input(), e.shape, s);

@@ -85,13 +85,16 @@ WacoTuner::buildGraph()
 {
     WACO_SPAN("train.build_graph");
     nodes_ = dataset_.allSchedules();
-    // Graph nodes span entries with different problem shapes, so only the
-    // structure-only verification applies here; shape-aware checks run
-    // again per query in tune(). Sampled schedules always pass — this
-    // guards datasets loaded from disk or built by external tools.
+    // A node's legality depends only on its structure and its algorithm,
+    // so it is decided once here and tune() trusts every node. The only
+    // shape-dependent error left is a zero extent, which tune() rejects on
+    // entry. Sampled schedules always pass; this guards datasets loaded
+    // from disk, built by external tools, or labeled for another
+    // algorithm.
     std::size_t kept = 0;
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
-        if (analysis::verifySchedule(nodes_[n]).hasErrors()) {
+        if (nodes_[n].alg != alg_ ||
+            analysis::verifySchedule(nodes_[n]).hasErrors()) {
             WACO_COUNT("analysis.rejected", 1);
             continue;
         }
@@ -100,9 +103,8 @@ WacoTuner::buildGraph()
         ++kept;
     }
     if (kept != nodes_.size()) {
-        logWarn("static verifier dropped " +
-                std::to_string(nodes_.size() - kept) +
-                " malformed schedules from the KNN graph");
+        logWarn("dropped " + std::to_string(nodes_.size() - kept) +
+                " malformed or other-algorithm schedules from the KNN graph");
         nodes_.resize(kept);
     }
     fatalIf(nodes_.empty(), "cannot build a KNN graph with no schedules");
@@ -134,7 +136,11 @@ WacoTuner::tune(const SparseInput& in, const TuneControl& ctl)
     fatalIf(!graph_, "WacoTuner::tune called before train()");
     WACO_SPAN("tune");
     WACO_COUNT("tune.calls", 1);
+    // Reject a zero extent before any work: it is the one shape-dependent
+    // reason no graph node could run on this input.
     const ProblemShape shape = ProblemShape::forInput(alg_, in);
+    const std::string zero = zeroExtentError(shape);
+    fatalIf(!zero.empty(), zero);
     RobustMeasurer robust(backend(), opt_.retry);
     TuneOutcome out;
 
@@ -190,42 +196,16 @@ WacoTuner::tune(const SparseInput& in, const TuneControl& ctl)
     if (hits.empty())
         throw CancelledError("tune cancelled before any candidate scored");
 
-    // Each hit's shape-aware verifier verdict, decided the first time a
-    // stage needs it and reused by every later one.
-    std::vector<std::optional<analysis::DiagnosticBag>> verdicts(hits.size());
-    auto verdict = [&](std::size_t i) -> const analysis::DiagnosticBag& {
-        if (!verdicts[i])
-            verdicts[i] = analysis::verifySchedule(nodes_[hits[i].id], shape);
-        return *verdicts[i];
-    };
-
-    // Model-only selection: the best verifier-clean hit by predicted cost,
-    // reported unmeasured. Used by the skipMeasure rung (circuit breaker
-    // open) and as the last in-tuner rung when a deadline expires before
-    // any candidate measured validly.
+    // Model-only selection: the best hit by predicted cost, reported
+    // unmeasured. Used by the skipMeasure rung (circuit breaker open) and
+    // as the last in-tuner rung when a deadline expires before any
+    // candidate measured validly.
     auto pick_by_model = [&]() {
         out.modelOnly = true;
         WACO_COUNT("tune.model_only", 1);
-        for (std::size_t i = 0; i < hits.size(); ++i) {
-            if (verdict(i).hasErrors()) {
-                ++out.verifierRejected;
-                WACO_COUNT("analysis.rejected", 1);
-                continue;
-            }
-            out.best = nodes_[hits[i].id];
-            out.bestMeasured = Measurement{};
-            out.bestMeasured.seconds = hits[i].dist; // predicted, not measured
-            out.bestMeasured.valid = false;
-            out.bestMeasured.invalidReason = "model-only";
-            return;
-        }
-        // Every hit is structurally illegal for this shape: degrade to the
-        // known-safe default, still without touching the backend.
-        out.fellBack = true;
-        WACO_COUNT("tune.fallbacks", 1);
-        out.best = defaultSchedule(shape);
+        out.best = nodes_[hits[0].id];
         out.bestMeasured = Measurement{};
-        out.bestMeasured.seconds = std::numeric_limits<double>::infinity();
+        out.bestMeasured.seconds = hits[0].dist; // predicted, not measured
         out.bestMeasured.valid = false;
         out.bestMeasured.invalidReason = "model-only";
     };
@@ -237,24 +217,18 @@ WacoTuner::tune(const SparseInput& in, const TuneControl& ctl)
         return out;
     }
 
-    // Stage 0: drop legal hits that an already-kept EARLIER hit
-    // asymptotically prunes (analysis::paretoFilter), before any of them
-    // reaches the backend. Illegal hits pass through untouched so the
-    // measurement loop rejects (and counts) them.
-    std::vector<bool> dropped(hits.size(), false);
+    // Stage 0: drop hits that an already-kept EARLIER hit asymptotically
+    // prunes (analysis::paretoFilter), before any of them reaches the
+    // backend. pruner[i] names the kept hit that prunes hit i, if any.
+    std::vector<std::optional<std::size_t>> pruner;
     {
         WACO_SPAN("tune.asym_filter");
-        std::vector<std::size_t> legal;
         std::vector<analysis::AsymptoticBounds> profiles;
-        for (std::size_t i = 0; i < hits.size(); ++i) {
-            if (verdict(i).hasErrors())
-                continue;
-            legal.push_back(i);
-            profiles.push_back(
-                analysis::asymptoticBounds(nodes_[hits[i].id], shape));
-        }
-        const auto pruner = analysis::paretoFilter(profiles);
-        for (std::size_t j = 0; j < legal.size(); ++j) {
+        profiles.reserve(hits.size());
+        for (const HnswHit& h : hits)
+            profiles.push_back(analysis::asymptoticBounds(nodes_[h.id], shape));
+        pruner = analysis::paretoFilter(profiles);
+        for (std::size_t j = 0; j < hits.size(); ++j) {
             if (!pruner[j]) {
                 ++out.asymKept;
                 WACO_COUNT("analysis.asym_kept", 1);
@@ -265,7 +239,6 @@ WacoTuner::tune(const SparseInput& in, const TuneControl& ctl)
                                                  profiles[j]));
             ++out.asymRejected;
             WACO_COUNT("analysis.asym_rejected", 1);
-            dropped[legal[j]] = true;
         }
     }
 
@@ -281,7 +254,7 @@ WacoTuner::tune(const SparseInput& in, const TuneControl& ctl)
         // orders, which canonicalization preserves exactly.
         std::unordered_map<std::string, Measurement> measured;
         for (std::size_t i = 0; i < hits.size(); ++i) {
-            if (dropped[i])
+            if (pruner[i])
                 continue;
             // Between-measurement cancellation point: keep whatever top-k
             // prefix is already measured instead of hogging the backend
@@ -292,14 +265,6 @@ WacoTuner::tune(const SparseInput& in, const TuneControl& ctl)
                 break;
             }
             const SuperSchedule& s = nodes_[hits[i].id];
-            const analysis::DiagnosticBag& diags = verdict(i);
-            if (diags.hasErrors()) {
-                ++out.verifierRejected;
-                WACO_COUNT("analysis.rejected", 1);
-                logWarn("verifier rejected top-k candidate:\n" +
-                        diags.format());
-                continue;
-            }
             std::string ck = analysis::canonicalKey(s);
             if (ck != s.key()) {
                 ++out.candidatesCanonicalized;

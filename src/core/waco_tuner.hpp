@@ -42,13 +42,14 @@ struct WacoOptions
     u32 efConstruction = 60;
     u32 efSearch = 40;
     /**
-     * Candidates re-measured on the backend (Section 5.2). tune() runs
-     * them through one pipeline: the static verifier rejects illegal
-     * ones, the stage-0 asymptotic filter (analysis::paretoFilter) drops
-     * those an earlier kept candidate prunes, and measurement-equivalent
-     * ones (same canonical key: degenerate-slot permutations lower to the
-     * same nest) reuse the first measurement. None of these changes which
-     * schedule wins — only how many candidates are measured.
+     * Candidates re-measured on the backend (Section 5.2). Every one is a
+     * graph node, whose legality was decided when the graph was built.
+     * tune() runs them through one pipeline: the stage-0 asymptotic
+     * filter (analysis::paretoFilter) drops those an earlier kept
+     * candidate prunes, and measurement-equivalent ones (same canonical
+     * key: degenerate-slot permutations lower to the same nest) reuse the
+     * first measurement. Neither changes which schedule wins — only how
+     * many candidates are measured.
      */
     u32 topK = 10;
     u64 seed = 42;
@@ -76,11 +77,12 @@ struct TuneControl
     std::function<bool()> stopHook;
     /** Skip the measurement phase entirely and rank by model score alone
      *  (the service's circuit-breaker-open rung): the winner is the best
-     *  verifier-clean hit, reported unmeasured with its predicted cost. */
+     *  hit by predicted cost, reported unmeasured with that cost. */
     bool skipMeasure = false;
 };
 
-/** Result of tuning one input. */
+/** Result of tuning one input. Every candidate in it is a KNN-graph
+ *  node, legal by construction (see WacoTuner::attachDataset). */
 struct TuneOutcome
 {
     SuperSchedule best;
@@ -96,8 +98,6 @@ struct TuneOutcome
 
     /** Retry/fault/timeout counters of the top-k remeasurement pass. */
     MeasureStats remeasureStats;
-    /** Top-k candidates rejected by the static verifier. */
-    u64 verifierRejected = 0;
     /** Top-k candidates whose canonical form differs from their raw form
      *  (degenerate-slot bookkeeping only; measurement-equivalent). */
     u64 candidatesCanonicalized = 0;
@@ -172,13 +172,17 @@ class WacoTuner
      * Attach a dataset and build the KNN graph WITHOUT training — for use
      * after loading pre-trained model parameters from disk. The dataset
      * must be the one the loaded model was trained on (rebuilding it is
-     * cheap and deterministic).
+     * cheap and deterministic). Building the graph drops every schedule
+     * that is malformed or for another algorithm, and throws FatalError
+     * when none is left.
      */
     void attachDataset(const CostDataset& dataset);
 
     /** Co-optimize the format and schedule for a new matrix or 3-tensor
      *  (its order must match the algorithm's), with optional
-     *  cancellation/degradation controls (see TuneControl). */
+     *  cancellation/degradation controls (see TuneControl). Throws
+     *  FatalError naming the index of an input with a zero extent, for
+     *  which no schedule is legal. */
     TuneOutcome tune(const SparseInput& in, const TuneControl& ctl = {});
 
     /** Schedules indexed by the KNN graph (exposed for benches/tests). */

@@ -335,7 +335,7 @@ storageOrderSchedule(Algorithm alg, const FormatDescriptor& desc)
         s.splits[info.indexOfSparseDim(d)] = desc.splits()[d];
 
     // Format half: the descriptor's levels verbatim, with the degenerate
-    // inner slots of unsplit dimensions appended (validateSchedule requires
+    // inner slots of unsplit dimensions appended (the verifier requires
     // a full permutation; activeSparseLevelOrder strips them again).
     for (const LevelSpec& lv : desc.levels()) {
         u32 idx = info.indexOfSparseDim(lv.dim);

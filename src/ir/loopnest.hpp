@@ -231,8 +231,9 @@ void forEachLoop(const LoopNest& nest,
                                           NestPhase phase)>& fn);
 
 /**
- * Lower a SuperSchedule to its loop nest. Validates the schedule; throws
- * FatalError for malformed schedules (same contract as validateSchedule).
+ * Lower a SuperSchedule to its loop nest. Validates the schedule against
+ * @p shape (analysis::verifySchedule); throws FatalError listing every
+ * error for a malformed schedule.
  */
 LoopNest lower(const SuperSchedule& s, const ProblemShape& shape);
 

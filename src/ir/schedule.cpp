@@ -206,6 +206,19 @@ ProblemShape::forTensor3(Algorithm alg, u32 di, u32 dk, u32 dl,
     return shapeOf(alg, 3, {di, dk, dl}, dense_extent);
 }
 
+std::string
+zeroExtentError(const ProblemShape& shape)
+{
+    const auto& info = algorithmInfo(shape.alg);
+    for (u32 idx = 0; idx < info.numIndices; ++idx) {
+        if (shape.indexExtent[idx] == 0) {
+            return "index '" + info.indexNames[idx] + "' of the " +
+                   algorithmName(shape.alg) + " input has extent 0";
+        }
+    }
+    return {};
+}
+
 u32
 slotExtent(const SuperSchedule& s, const ProblemShape& shape, u32 slot)
 {
@@ -329,15 +342,6 @@ concordance(const SuperSchedule& s)
         }
     }
     return static_cast<double>(consistent) / static_cast<double>(total);
-}
-
-void
-validateSchedule(const SuperSchedule& s, const ProblemShape& shape)
-{
-    // Thin wrapper over the static verifier (src/analysis): callers that
-    // want the individual findings instead of an exception should call
-    // analysis::verifySchedule directly.
-    analysis::verifySchedule(s, shape).throwIfErrors("validateSchedule");
 }
 
 SuperScheduleSpace::SuperScheduleSpace(Algorithm alg, const ProblemShape& shape)
@@ -521,7 +525,7 @@ defaultSchedule(const ProblemShape& shape, u32 chunk)
     }
     for (const auto& op : info.denseOperands)
         s.denseRowMajor.push_back(op.rowMajorDefault);
-    validateSchedule(s, shape);
+    analysis::verifySchedule(s, shape).throwIfErrors("defaultSchedule");
     return s;
 }
 
@@ -629,7 +633,8 @@ wellKnownFormatSchedules(const ProblemShape& shape)
         }
     }
     for (const auto& s : out)
-        validateSchedule(s, shape);
+        analysis::verifySchedule(s, shape).throwIfErrors(
+            "wellKnownFormatSchedules");
     return out;
 }
 

@@ -95,6 +95,12 @@ struct ProblemShape
                                    u32 dense_extent = 0);
 };
 
+/** Empty when every index of @p shape has a nonzero extent; otherwise a
+ *  message naming the first zero-extent index. No schedule is legal for
+ *  such a problem (WACO-S011), so the tuner and the service reject the
+ *  input where it enters. */
+std::string zeroExtentError(const ProblemShape& shape);
+
 /** Extent of a slot's loop under a schedule (outer: ceil(n/split), inner: split). */
 u32 slotExtent(const SuperSchedule& s, const ProblemShape& shape, u32 slot);
 
@@ -131,14 +137,6 @@ std::vector<bool> inputRowMajorOf(const SuperSchedule& s);
  * and traversal needs searches over compressed levels (Section 3.1).
  */
 double concordance(const SuperSchedule& s);
-
-/**
- * Validate internal consistency; throws FatalError listing every
- * structural error when malformed. Thin wrapper over the diagnostics-based
- * analysis::verifySchedule (src/analysis/schedule_verifier.hpp) — prefer
- * that API when you want findings instead of an exception.
- */
-void validateSchedule(const SuperSchedule& s, const ProblemShape& shape);
 
 /**
  * The enumerable parameter space of SuperSchedules for one algorithm

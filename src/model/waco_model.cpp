@@ -12,7 +12,7 @@ using nn::Mat;
 
 WacoCostModel::WacoCostModel(Algorithm alg, const std::string& extractor_kind,
                              const ExtractorConfig& cfg, u64 seed, double lr)
-    : alg_(alg), extractor_kind_(extractor_kind)
+    : alg_(alg)
 {
     Rng rng(seed);
     u32 pattern_dim = algorithmInfo(alg).sparseOrder == 3 ? 3 : 2;

@@ -36,7 +36,6 @@ class WacoCostModel
                   const ExtractorConfig& cfg, u64 seed, double lr = 1e-4);
 
     Algorithm algorithm() const { return alg_; }
-    const std::string& extractorName() const { return extractor_kind_; }
     u32 embeddingDim() const { return embedder_->outDim(); }
 
     /** Run the feature extractor once for an input pattern. */
@@ -142,7 +141,6 @@ class WacoCostModel
     void backwardFull(const nn::Mat& d_pred);
 
     Algorithm alg_;
-    std::string extractor_kind_;
     std::unique_ptr<FeatureExtractor> extractor_;
     std::unique_ptr<ProgramEmbedder> embedder_;
     nn::MLP predictor_;

@@ -34,9 +34,6 @@ class Adam
      *  @return the pre-clip norm. */
     double clipGradNorm(double max_norm);
 
-    double learningRate() const { return lr_; }
-    void setLearningRate(double lr) { lr_ = lr; }
-
   private:
     std::vector<Param*> params_;
     std::vector<std::vector<float>> m_;

@@ -50,7 +50,6 @@ class RobustMeasurer : public MeasurementBackend
 
     const RetryPolicy& policy() const { return policy_; }
     const MeasureStats& stats() const { return stats_; }
-    void resetStats() const { stats_ = {}; }
 
     Measurement measure(const SparseInput& in, const ProblemShape& shape,
                         const SuperSchedule& s) const override;

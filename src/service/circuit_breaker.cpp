@@ -4,17 +4,6 @@
 
 namespace waco::service {
 
-const char*
-breakerStateName(BreakerState s)
-{
-    switch (s) {
-      case BreakerState::Closed: return "closed";
-      case BreakerState::Open: return "open";
-      case BreakerState::HalfOpen: return "half-open";
-    }
-    return "?";
-}
-
 CircuitBreaker::CircuitBreaker(BreakerConfig cfg) : cfg_(cfg)
 {
     fatalIf(cfg_.failureThreshold == 0,

@@ -26,8 +26,6 @@ namespace waco::service {
 
 enum class BreakerState : u32 { Closed, Open, HalfOpen };
 
-const char* breakerStateName(BreakerState s);
-
 /** Breaker policy knobs. */
 struct BreakerConfig
 {

@@ -1,7 +1,6 @@
 #include "service/tuner_service.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "util/logging.hpp"
@@ -150,6 +149,27 @@ TunerService::submit(const SparseMatrix& m, const std::string& tenant,
     t->cancelToken_.setDeadline(deadline_seconds);
 
     WACO_COUNT("service.requests", 1);
+
+    // No schedule is legal for an input with a zero extent (not even the
+    // default floor every other response falls back to): fail it here.
+    std::string zero = zeroExtentError(
+        ProblemShape::forMatrix(tuner_.algorithm(), m.rows(), m.cols()));
+    if (!zero.empty()) {
+        TuneResponse r;
+        r.status = ServiceStatus::Failed;
+        r.rung = DegradationRung::DefaultSchedule;
+        r.detail = std::move(zero);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.submitted;
+        }
+        {
+            std::lock_guard<std::mutex> tlock(t->mutex_);
+            t->admission_ = ServiceStatus::Failed;
+        }
+        finish(t, std::move(r));
+        return t;
+    }
 
     // Fast path: the exact same pattern was already co-optimized — answer
     // from the cache without copying the matrix, queueing, or tuning.
@@ -438,14 +458,6 @@ TunerService::stats() const
         s.latencyP99 = percentile(lat, 99.0);
     }
     return s;
-}
-
-void
-TunerService::writeStatsJson(const std::string& path) const
-{
-    std::ofstream out(path);
-    fatalIf(!out, "cannot write service stats: " + path);
-    out << stats().toJson();
 }
 
 } // namespace waco::service

@@ -29,7 +29,9 @@
  *
  * Every response is typed and every degraded answer is still a *valid*
  * schedule (worst rung = the CSR-row-parallel default); the service never
- * returns garbage and never throws across the API boundary.
+ * returns garbage and never throws across the API boundary. An input with
+ * a zero extent has no valid schedule at all: submit() answers it Failed
+ * at admission, before it reaches the worker.
  */
 #pragma once
 
@@ -69,7 +71,7 @@ const char* serviceStatusName(ServiceStatus s);
 enum class DegradationRung : u32 {
     FullSearch,      ///< ANNS walk + top-k re-measurement (the paper path).
     CacheHit,        ///< Cross-request result cache.
-    ModelOnly,       ///< Best verifier-clean hit by model score, unmeasured.
+    ModelOnly,       ///< Best hit by predicted cost, unmeasured.
     DefaultSchedule, ///< CSR-row-parallel fallback; always valid.
 };
 
@@ -97,7 +99,9 @@ struct TuneResponse
     ServiceStatus status = ServiceStatus::Failed;
     DegradationRung rung = DegradationRung::DefaultSchedule;
     /** SuperSchedule::key() of the answer — parseable, verifier-checkable,
-     *  and never empty for a completed (non-Shed) request. */
+     *  and never empty for a completed (non-Shed) request, with one
+     *  exception: an input with a zero extent fails at admission with an
+     *  empty key, because no legal schedule exists for it. */
     std::string scheduleKey;
     /** Measured runtime when @ref measured, else predicted cost (ModelOnly)
      *  or +inf (nothing was scored). */
@@ -118,7 +122,8 @@ struct TuneResponse
 class TuneTicket
 {
   public:
-    /** Submit-time disposition: Accepted, Shed, or Ok (cache hit). */
+    /** Submit-time disposition: Accepted, Shed, Ok (cache hit), or Failed
+     *  (an input with a zero extent, which no schedule can run). */
     ServiceStatus admission() const;
 
     /** Request client-side cancellation (idempotent, races allowed). */
@@ -187,8 +192,9 @@ class TunerService
 
     /**
      * Submit one matrix for tuning. Never blocks on tuning work and never
-     * throws: overload is reported as a Shed ticket, and a cross-request
-     * cache hit completes immediately (status Ok, rung CacheHit).
+     * throws: overload is reported as a Shed ticket, a cross-request
+     * cache hit completes immediately (status Ok, rung CacheHit), and so
+     * does an input with a zero extent (status Failed, empty key).
      * @param deadline_seconds relative deadline; NaN = use the config
      *        default; +inf = none.
      */
@@ -210,8 +216,6 @@ class TunerService
     u64 queueDepth() const;
 
     ServiceStats stats() const;
-    /** Write stats().toJson() to @p path. */
-    void writeStatsJson(const std::string& path) const;
 
     const ResultCache& cache() const { return cache_; }
     const CircuitBreaker& breaker() const { return breaker_; }

@@ -31,15 +31,9 @@ enum class LevelFormat : unsigned char { Uncompressed, Compressed };
  * verifier (src/analysis) checks schedules against these.
  */
 
-/** Coordinate lookup at a known parent position: direct offset for U,
- *  binary search over crd for C (legal but O(log nnz) per probe). */
-constexpr bool
-levelSupportsLocate(LevelFormat f)
-{
-    return f == LevelFormat::Uncompressed || f == LevelFormat::Compressed;
-}
-
-/** O(log) locate — only U levels resolve a coordinate without a search. */
+/** Coordinate lookup at a known parent position is legal on every level
+ *  (binary search over crd for C, O(log nnz) per probe); only U levels
+ *  resolve a coordinate by direct offset, without a search. */
 constexpr bool
 levelSupportsDirectLocate(LevelFormat f)
 {

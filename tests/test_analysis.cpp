@@ -1218,7 +1218,6 @@ TEST_F(TunerPruning, SameBestScheduleWithStrictlyFewerMeasurements)
     // Strictly fewer oracle calls than candidates: every canonical
     // duplicate is served from the measurement cache, and every graph
     // schedule is accounted for exactly once.
-    EXPECT_EQ(with.verifierRejected, 0u);
     EXPECT_GT(with.measurementsReused, 0u);
     EXPECT_GT(with.candidatesCanonicalized, 0u);
     EXPECT_LT(with.remeasureStats.attempts, nodes.size());

@@ -272,8 +272,9 @@ TEST(FormatFootprint, MatchesBuildOnFuzzedDescriptors)
         EXPECT_EQ(fp.bytes(), array_bytes);
         EXPECT_EQ(fp.bytes(), built.bytes());
         EXPECT_EQ(fp.storedValues(), built.storedValues());
-        if (order == 2)
+        if (order == 2) {
             EXPECT_EQ(built.toSparseMatrix(), m);
+        }
 
         // A budget anywhere up to the real footprint.
         u64 max_bytes = static_cast<u64>(

@@ -135,12 +135,10 @@ TEST(SuperSchedule, ValidateRejectsParallelReduction)
     auto shape = ProblemShape::forMatrix(Algorithm::SpMM, 64, 64);
     auto s = defaultSchedule(shape);
     s.parallelSlot = outerSlot(1); // k is the reduction index of SpMM
-    // The diagnostics API names the exact violation...
+    // The diagnostics API names the exact violation.
     auto diags = analysis::verifySchedule(s, shape);
     EXPECT_TRUE(diags.hasErrors());
     EXPECT_TRUE(diags.has(analysis::DiagCode::S009_ParallelReduction));
-    // ...and the legacy throwing wrapper still rejects.
-    EXPECT_THROW(validateSchedule(s, shape), FatalError);
 }
 
 TEST(SuperScheduleSpace, TableThreeParameterRanges)

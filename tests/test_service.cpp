@@ -494,6 +494,39 @@ TEST_F(ServiceTest, CancelledTicketReturnsTypedDefault)
     expectValidResponse(r, m);
 }
 
+TEST(TunerService, ZeroExtentInputFailsAtAdmission)
+{
+    // No schedule is legal for a matrix with a zero extent, not even the
+    // default floor, so the service answers it at admission: the ticket is
+    // done when submit() returns, and the response carries no schedule.
+    WacoTuner& tuner = sharedTuner();
+    TunerService service(tuner);
+    const std::pair<SparseMatrix, const char*> cases[] = {
+        {SparseMatrix(0, 16, {}), "index 'i'"},
+        {SparseMatrix(16, 0, {}), "index 'k'"},
+    };
+    for (const auto& [m, index] : cases) {
+        auto ticket = service.submit(m);
+        EXPECT_EQ(ticket->admission(), ServiceStatus::Failed);
+        EXPECT_TRUE(ticket->done());
+        const TuneResponse& r = ticket->wait();
+        EXPECT_EQ(r.status, ServiceStatus::Failed);
+        EXPECT_EQ(r.rung, DegradationRung::DefaultSchedule);
+        EXPECT_TRUE(r.scheduleKey.empty());
+        EXPECT_FALSE(r.measured);
+        EXPECT_NE(r.detail.find(index), std::string::npos) << r.detail;
+        EXPECT_NE(r.detail.find("extent 0"), std::string::npos) << r.detail;
+    }
+    EXPECT_EQ(service.queueDepth(), 0u);
+    ServiceStats st = service.stats();
+    EXPECT_EQ(st.submitted, 2u);
+    EXPECT_EQ(st.failed, 2u);
+    EXPECT_EQ(st.completed, 2u);
+    EXPECT_EQ(st.rungCounts[static_cast<u32>(
+                  DegradationRung::DefaultSchedule)],
+              2u);
+}
+
 TEST_F(ServiceTest, ShutdownDrainsQueueAsCancelled)
 {
     WacoTuner& tuner = sharedTuner();

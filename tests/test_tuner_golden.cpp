@@ -67,7 +67,6 @@ decisions(const TuneOutcome& o)
            " convert=" + hexFloat(o.convertSeconds) +
            " topK=" + std::to_string(o.topK.size()) + ":" + digest +
            " evals=" + std::to_string(o.costEvaluations) +
-           " rejected=" + std::to_string(o.verifierRejected) +
            " canonicalized=" + std::to_string(o.candidatesCanonicalized) +
            " reused=" + std::to_string(o.measurementsReused) +
            " asym=" + std::to_string(o.asymKept) + "/" +
@@ -178,141 +177,141 @@ const Golden kGolden[] = {
      "best=SpMV|s=1,1|lo=0,1,2,3|p=0:48:16|slo=0,1,2,3|lf=UUCC|dl=rr "
      "seconds=0x1.1d9e67ceb062cp-17 valid=1 reason= "
      "convert=0x1.2d34a62aa12b4p-15 topK=14:15a50fdf20d52a50 evals=47 "
-     "rejected=0 canonicalized=7 reused=0 asym=14/2 flags=000 "
+     "canonicalized=7 reused=0 asym=14/2 flags=000 "
      "stats=14/14/0/0/0/0/0",
      "best=SpMV|s=8,1|lo=3,2,1,0|p=0:24:32|slo=0,1,3,2|lf=CUCC|dl=cc "
      "seconds=-0x1.c753d4p-4 valid=0 reason=model-only "
      "convert=0x1.2009f570e834p-15 topK=0:cbf29ce484222325 evals=47 "
-     "rejected=0 canonicalized=0 reused=0 asym=0/0 flags=001 "
+     "canonicalized=0 reused=0 asym=0/0 flags=001 "
      "stats=0/0/0/0/0/0/0",
      "best=SpMV|s=1,1|lo=0,1,2,3|p=0:48:128|slo=0,1,2,3|lf=UUCC|dl=rr "
      "seconds=inf valid=0 reason=injected transient measurement failure "
      "convert=0x1.2009f570e834p-15 topK=14:7036b971af4e707a evals=47 "
-     "rejected=0 canonicalized=7 reused=0 asym=14/2 flags=100 "
+     "canonicalized=7 reused=0 asym=14/2 flags=100 "
      "stats=15/45/30/21/24/0/15",
      "best=SpMV|s=8,1|lo=3,2,1,0|p=0:24:32|slo=0,1,3,2|lf=CUCC|dl=cc "
      "seconds=-0x1.c753d4p-4 valid=0 reason=model-only "
      "convert=0x1.2009f570e834p-15 topK=0:cbf29ce484222325 evals=47 "
-     "rejected=0 canonicalized=0 reused=0 asym=14/2 flags=011 "
+     "canonicalized=0 reused=0 asym=14/2 flags=011 "
      "stats=0/0/0/0/0/0/0",
      "best=SpMV|s=64,256|lo=2,3,1,0|p=1:24:16|slo=3,1,2,0|lf=CUCU|dl=rr "
      "seconds=0x1.27b6b91fed0b9p-7 valid=1 reason= "
      "convert=0x1.5265bb8b0072ap-15 topK=2:faa59f690762f6a5 evals=47 "
-     "rejected=0 canonicalized=1 reused=0 asym=14/2 flags=010 "
+     "canonicalized=1 reused=0 asym=14/2 flags=010 "
      "stats=2/2/0/0/0/0/0"},
     {Algorithm::SpMM, 45,
      "best=SpMM|s=1,1,1|lo=0,1,2,3,4,5|p=0:48:4|slo=0,1,2,3|lf=UUCC|dl=rr "
      "seconds=0x1.1154461b286aep-16 valid=1 reason= "
      "convert=0x1.2f7437adfe438p-15 topK=11:a1946fecfaeb2164 evals=47 "
-     "rejected=0 canonicalized=7 reused=0 asym=11/5 flags=000 "
+     "canonicalized=7 reused=0 asym=11/5 flags=000 "
      "stats=11/11/0/0/0/0/0",
      "best=SpMM|s=64,64,256|lo=1,3,2,0,4,5|p=4:48:64|slo=0,2,1,3|lf=UUUU|dl=rr "
      "seconds=-0x1.6c8ddp-4 valid=0 reason=model-only "
      "convert=0x1.2233317e644cfp-15 topK=0:cbf29ce484222325 evals=47 "
-     "rejected=0 canonicalized=0 reused=0 asym=0/0 flags=001 "
+     "canonicalized=0 reused=0 asym=0/0 flags=001 "
      "stats=0/0/0/0/0/0/0",
      "best=SpMM|s=1,1,1|lo=0,1,2,3,4,5|p=0:48:32|slo=0,1,2,3|lf=UUCC|dl=rr "
      "seconds=inf valid=0 reason=transient convert=0x1.2233317e644cfp-15 "
-     "topK=11:99f787a5ee70e292 evals=47 rejected=0 canonicalized=7 reused=0 "
+     "topK=11:99f787a5ee70e292 evals=47 canonicalized=7 reused=0 "
      "asym=11/5 flags=100 stats=12/36/24/17/19/0/12",
      "best=SpMM|s=64,64,256|lo=1,3,2,0,4,5|p=4:48:64|slo=0,2,1,3|lf=UUUU|dl=rr "
      "seconds=-0x1.6c8ddp-4 valid=0 reason=model-only "
      "convert=0x1.2233317e644cfp-15 topK=0:cbf29ce484222325 evals=47 "
-     "rejected=0 canonicalized=0 reused=0 asym=11/5 flags=011 "
+     "canonicalized=0 reused=0 asym=11/5 flags=011 "
      "stats=0/0/0/0/0/0/0",
      "best=SpMM|s=1,128,8|lo=2,5,0,1,3,4|p=0:24:64|slo=2,1,0,3|lf=UUCU|dl=rr "
      "seconds=0x1.655f20250d172p-11 valid=1 reason= "
      "convert=0x1.6adad610eb398p-14 topK=2:834fefffecf6e0b2 evals=47 "
-     "rejected=0 canonicalized=1 reused=0 asym=11/5 flags=010 "
+     "canonicalized=1 reused=0 asym=11/5 flags=010 "
      "stats=2/2/0/0/0/0/0"},
     {Algorithm::SDDMM, 45,
      "best=SDDMM|s=1,1,1|lo=0,1,2,3,4,5|p=0:48:4|slo=0,1,2,3|lf=UUCC|dl=rcr "
      "seconds=0x1.392fec511bdbep-16 valid=1 reason= "
      "convert=0x1.2e3e3e3fbe2b2p-15 topK=12:9afb4f870f187f4b evals=45 "
-     "rejected=0 canonicalized=6 reused=0 asym=12/4 flags=000 "
+     "canonicalized=6 reused=0 asym=12/4 flags=000 "
      "stats=12/12/0/0/0/0/0",
      "best=SDDMM|s=4,128,32|lo=3,4,5,0,2,1|p=3:24:256|slo=1,2,0,3|lf=CUUU|"
      "dl=rcr "
      "seconds=-0x1.6d23acp-4 valid=0 reason=model-only "
      "convert=0x1.21093eb21383p-15 topK=0:cbf29ce484222325 evals=45 "
-     "rejected=0 canonicalized=0 reused=0 asym=0/0 flags=001 "
+     "canonicalized=0 reused=0 asym=0/0 flags=001 "
      "stats=0/0/0/0/0/0/0",
      "best=SDDMM|s=1,1,1|lo=0,1,2,3,4,5|p=0:48:32|slo=0,1,2,3|lf=UUCC|dl=rcr "
      "seconds=inf valid=0 reason=transient convert=0x1.21093eb21383p-15 "
-     "topK=12:af7f42ad4d86f773 evals=45 rejected=0 canonicalized=6 reused=0 "
+     "topK=12:af7f42ad4d86f773 evals=45 canonicalized=6 reused=0 "
      "asym=12/4 flags=100 stats=13/39/26/18/21/0/13",
      "best=SDDMM|s=4,128,32|lo=3,4,5,0,2,1|p=3:24:256|slo=1,2,0,3|lf=CUUU|"
      "dl=rcr "
      "seconds=-0x1.6d23acp-4 valid=0 reason=model-only "
      "convert=0x1.21093eb21383p-15 topK=0:cbf29ce484222325 evals=45 "
-     "rejected=0 canonicalized=0 reused=0 asym=12/4 flags=011 "
+     "canonicalized=0 reused=0 asym=12/4 flags=011 "
      "stats=0/0/0/0/0/0/0",
      "best=SDDMM|s=4,128,32|lo=3,4,5,0,2,1|p=3:24:256|slo=1,2,0,3|lf=CUUU|"
      "dl=rcr "
      "seconds=0x1.f0736dfa1ed78p-5 valid=1 reason= "
      "convert=0x1.6c6b9e27c7af6p-14 topK=2:1aa945a13df05c85 evals=45 "
-     "rejected=0 canonicalized=0 reused=0 asym=12/4 flags=010 "
+     "canonicalized=0 reused=0 asym=12/4 flags=010 "
      "stats=2/2/0/0/0/0/0"},
     {Algorithm::MTTKRP, 40,
      "best=MTTKRP|s=16,16,16,1|lo=6,2,0,4,5,3,7,1|p=0:24:16|slo=2,0,4,5,3,1|"
      "lf=UUUCUC|dl=rrr "
      "seconds=0x1.6ad60571aee18p-10 valid=1 reason= "
      "convert=0x1.4389316fce92ap-14 topK=15:fd327854c6da70a2 evals=36 "
-     "rejected=0 canonicalized=6 reused=0 asym=15/1 flags=000 "
+     "canonicalized=6 reused=0 asym=15/1 flags=000 "
      "stats=15/15/0/0/0/0/0",
      "best=MTTKRP|s=32,16,8,2|lo=7,6,3,0,2,4,1,5|p=1:24:64|slo=0,3,4,2,5,1|"
      "lf=UUCCUC|dl=rrr "
      "seconds=-0x1.0d462ap-6 valid=0 reason=model-only "
      "convert=0x1.36837082e2555p-14 topK=0:cbf29ce484222325 evals=36 "
-     "rejected=0 canonicalized=0 reused=0 asym=0/0 flags=001 "
+     "canonicalized=0 reused=0 asym=0/0 flags=001 "
      "stats=0/0/0/0/0/0/0",
      "best=MTTKRP|s=1,1,1,1|lo=0,1,2,3,4,5,6,7|p=0:48:32|slo=0,1,2,3,4,5|"
      "lf=CCCCCC|dl=rrr "
      "seconds=inf valid=0 reason=injected transient measurement failure "
      "convert=0x1.36837082e2555p-14 topK=15:ac3b6b29478336bb evals=36 "
-     "rejected=0 canonicalized=6 reused=0 asym=15/1 flags=100 "
+     "canonicalized=6 reused=0 asym=15/1 flags=100 "
      "stats=16/48/32/22/26/0/16",
      "best=MTTKRP|s=32,16,8,2|lo=7,6,3,0,2,4,1,5|p=1:24:64|slo=0,3,4,2,5,1|"
      "lf=UUCCUC|dl=rrr "
      "seconds=-0x1.0d462ap-6 valid=0 reason=model-only "
      "convert=0x1.36837082e2555p-14 topK=0:cbf29ce484222325 evals=36 "
-     "rejected=0 canonicalized=0 reused=0 asym=15/1 flags=011 "
+     "canonicalized=0 reused=0 asym=15/1 flags=011 "
      "stats=0/0/0/0/0/0/0",
      "best=MTTKRP|s=32,32,32,4|lo=5,7,2,4,1,6,0,3|p=1:24:8|slo=0,3,5,4,1,2|"
      "lf=UUCUUC|dl=rrr "
      "seconds=0x1.cad397d747df7p-3 valid=1 reason= "
      "convert=0x1.4389316fce92ap-14 topK=2:7c1204dd4286d743 evals=36 "
-     "rejected=0 canonicalized=0 reused=0 asym=15/1 flags=010 "
+     "canonicalized=0 reused=0 asym=15/1 flags=010 "
      "stats=2/2/0/0/0/0/0"},
     {Algorithm::FusedSDDMMSpMM, 45,
      "best=FusedSDDMMSpMM|s=1,32,1,1|lo=0,1,2,3,4,5,6,7|p=0:48:32|"
      "slo=2,0,1,3|lf=UUCC|dl=rcrr "
      "seconds=0x1.bdf4f0599f9d9p-15 valid=1 reason= "
      "convert=0x1.2e96cb704544bp-15 topK=11:3c40b1646cb00711 evals=47 "
-     "rejected=0 canonicalized=6 reused=0 asym=11/5 flags=000 "
+     "canonicalized=6 reused=0 asym=11/5 flags=000 "
      "stats=11/11/0/0/0/0/0",
      "best=FusedSDDMMSpMM|s=8,8,64,8|lo=1,0,5,3,6,4,2,7|p=6:24:256|"
      "slo=1,3,0,2|lf=CUCU|dl=rcrr "
      "seconds=-0x1.d1f48cp-7 valid=0 reason=model-only "
      "convert=0x1.215e5c469f619p-15 topK=0:cbf29ce484222325 evals=47 "
-     "rejected=0 canonicalized=0 reused=0 asym=0/0 flags=001 "
+     "canonicalized=0 reused=0 asym=0/0 flags=001 "
      "stats=0/0/0/0/0/0/0",
      "best=FusedSDDMMSpMM|s=1,1,1,1|lo=0,1,2,3,4,5,6,7|p=0:48:32|"
      "slo=0,1,2,3|lf=UUCC|dl=rcrr "
      "seconds=inf valid=0 reason=transient convert=0x1.215e5c469f619p-15 "
-     "topK=11:3d474a13dcf56b9a evals=47 rejected=0 canonicalized=6 reused=0 "
+     "topK=11:3d474a13dcf56b9a evals=47 canonicalized=6 reused=0 "
      "asym=11/5 flags=100 stats=12/36/24/17/19/0/12",
      "best=FusedSDDMMSpMM|s=8,8,64,8|lo=1,0,5,3,6,4,2,7|p=6:24:256|"
      "slo=1,3,0,2|lf=CUCU|dl=rcrr "
      "seconds=-0x1.d1f48cp-7 valid=0 reason=model-only "
      "convert=0x1.215e5c469f619p-15 topK=0:cbf29ce484222325 evals=47 "
-     "rejected=0 canonicalized=0 reused=0 asym=11/5 flags=011 "
+     "canonicalized=0 reused=0 asym=11/5 flags=011 "
      "stats=0/0/0/0/0/0/0",
      "best=FusedSDDMMSpMM|s=8,8,64,8|lo=1,0,5,3,6,4,2,7|p=6:24:256|"
      "slo=1,3,0,2|lf=CUCU|dl=rcrr "
      "seconds=0x1.940c42d687c65p+5 valid=1 reason= "
      "convert=0x1.1a041084ac8dbp-14 topK=2:2b90af285e02bd26 evals=47 "
-     "rejected=0 canonicalized=1 reused=0 asym=11/5 flags=010 "
+     "canonicalized=1 reused=0 asym=11/5 flags=010 "
      "stats=2/2/0/0/0/0/0"},
 };
 

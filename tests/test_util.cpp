@@ -107,7 +107,7 @@ TEST(UtilTimer, MeasuresElapsed)
     Timer t;
     volatile double sink = 0;
     for (int i = 0; i < 100000; ++i)
-        sink += std::sqrt(static_cast<double>(i));
+        sink = sink + std::sqrt(static_cast<double>(i));
     EXPECT_GT(t.seconds(), 0.0);
     double a = t.millis();
     double b = t.millis();

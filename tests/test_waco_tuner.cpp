@@ -9,6 +9,7 @@
 #include "core/waco_tuner.hpp"
 #include "data/generators.hpp"
 #include "util/logging.hpp"
+#include "util/trace.hpp"
 
 namespace waco {
 namespace {
@@ -133,6 +134,56 @@ TEST_F(WacoTunerTest, TuneBeforeTrainThrows)
     Rng rng(63);
     auto m = genUniform(128, 128, 500, rng);
     EXPECT_THROW(tuner.tune(m), FatalError);
+}
+
+/** A small labeled dataset: enough for attachDataset() to build a graph
+ *  (no training needed). */
+CostDataset
+smallDataset(Algorithm alg, u64 seed)
+{
+    CorpusOptions copt;
+    copt.count = 3;
+    copt.minDim = 64;
+    copt.maxDim = 128;
+    copt.minNnz = 200;
+    copt.maxNnz = 600;
+    RuntimeOracle oracle(MachineConfig::intel24());
+    return buildDataset(alg, makeCorpus(copt, seed), oracle, 6, seed);
+}
+
+TEST_F(WacoTunerTest, DatasetOfAnotherAlgorithmFailsToAttach)
+{
+    // Legality is decided once, when the graph is built: a node labeled
+    // for another algorithm can never run, so none of them enters it.
+    CostDataset spmv = smallDataset(Algorithm::SpMV, 81);
+    ASSERT_FALSE(spmv.allSchedules().empty());
+    WacoTuner tuner(Algorithm::SpMM, MachineConfig::intel24(), tinyOptions());
+    EXPECT_THROW(tuner.attachDataset(spmv), FatalError);
+
+    WacoTuner same(Algorithm::SpMV, MachineConfig::intel24(), tinyOptions());
+    same.attachDataset(spmv);
+    EXPECT_EQ(same.graphSchedules().size(), spmv.allSchedules().size());
+}
+
+TEST_F(WacoTunerTest, ZeroExtentInputFailsBeforeExtraction)
+{
+    WacoTuner tuner(Algorithm::SpMM, MachineConfig::intel24(), tinyOptions());
+    tuner.attachDataset(smallDataset(Algorithm::SpMM, 82));
+
+    trace::clear();
+    trace::setEnabled(true);
+    std::string what;
+    try {
+        tuner.tune(SparseMatrix(0, 16, {}));
+    } catch (const FatalError& e) {
+        what = e.what();
+    }
+    trace::setEnabled(false);
+    EXPECT_NE(what.find("index 'i'"), std::string::npos) << what;
+    EXPECT_NE(what.find("extent 0"), std::string::npos) << what;
+    for (const trace::SpanRecord& span : trace::snapshot())
+        EXPECT_NE(span.name, "tune.extract");
+    trace::clear();
 }
 
 TEST_F(WacoTunerTest, TunedScheduleIsCompetitiveWithDefault)
