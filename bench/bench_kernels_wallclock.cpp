@@ -141,15 +141,13 @@ BM_FormatBuild(benchmark::State& state)
 // ---------------------------------------------------------------------------
 
 /** Owns everything one lowered-nest execution needs (stable addresses:
- *  LoopNestArgs points into the other members). */
+ *  in.args points into the other members). */
 struct NestHolder
 {
     HierSparseTensor t;
     LoopNest nest;
-    DenseVector vecB;
-    DenseMatrix b, c, f;
+    DenseInputs in;
     ParallelConfig par{1, 128};
-    LoopNestArgs args;
 };
 
 /** Default (CSR/CSF concordant) schedule of @p alg on a banded input,
@@ -187,51 +185,16 @@ makeNestHolder(Algorithm alg, bool large)
         info.sparseOrder == 2
             ? HierSparseTensor::build(formatOf(s, shape), m)
             : HierSparseTensor::build(formatOf(s, shape), t3),
-        lower(s, shape), DenseVector{}, DenseMatrix{}, DenseMatrix{},
-        DenseMatrix{}, ParallelConfig{1, 128}, LoopNestArgs{}});
-
-    const auto& ext = shape.indexExtent;
-    switch (alg) {
-      case Algorithm::SpMV:
-        h->vecB = DenseVector(ext[1]);
-        h->vecB.randomize(rng);
-        break;
-      case Algorithm::SpMM:
-        h->b = DenseMatrix(ext[1], ext[2]);
-        break;
-      case Algorithm::SDDMM:
-        h->b = DenseMatrix(ext[0], ext[2]);
-        h->c = DenseMatrix(ext[2], ext[1], Layout::ColMajor);
-        break;
-      case Algorithm::MTTKRP:
-        h->b = DenseMatrix(ext[1], ext[3]);
-        h->c = DenseMatrix(ext[2], ext[3]);
-        break;
-      case Algorithm::FusedSDDMMSpMM:
-        h->b = DenseMatrix(ext[0], ext[2]);
-        h->c = DenseMatrix(ext[2], ext[1], Layout::ColMajor);
-        h->f = DenseMatrix(ext[1], ext[3]);
-        break;
-    }
-    if (h->b.rows())
-        h->b.randomize(rng);
-    if (h->c.rows())
-        h->c.randomize(rng);
-    if (h->f.rows())
-        h->f.randomize(rng);
-
-    h->args.a = &h->t;
-    if (h->vecB.size())
-        h->args.vecB = &h->vecB;
-    if (h->b.rows())
-        h->args.matB = &h->b;
-    if (h->c.rows())
-        h->args.matC = &h->c;
-    if (h->f.rows())
-        h->args.matF = &h->f;
-    h->par = ParallelConfig{std::min(std::max(1u, s.numThreads),
-                                     hardwareThreads()),
-                            std::max(1u, s.ompChunk)};
+        lower(s, shape), DenseInputs{},
+        ParallelConfig{std::min(std::max(1u, s.numThreads),
+                                hardwareThreads()),
+                       std::max(1u, s.ompChunk)}});
+    h->in = makeDenseInputs(
+        h->nest, inputRowMajorOf(s), h->t,
+        [&](std::size_t, std::vector<float>& values) {
+            for (auto& x : values)
+                x = static_cast<float>(rng.uniformReal(-1.0, 1.0));
+        });
     return h;
 }
 
@@ -241,7 +204,7 @@ BM_NestExec_Interp(benchmark::State& state)
     auto alg = static_cast<Algorithm>(state.range(0));
     auto h = makeNestHolder(alg, false);
     for (auto _ : state) {
-        auto r = interpreterBackend().execute(h->nest, h->args, h->par);
+        auto r = interpreterBackend().execute(h->nest, h->in.args, h->par);
         benchmark::DoNotOptimize(&r);
     }
     state.SetLabel(algorithmName(alg));
@@ -257,9 +220,9 @@ BM_NestExec_Compiled(benchmark::State& state)
         return;
     }
     auto h = makeNestHolder(alg, false);
-    compiledBackend().execute(h->nest, h->args, h->par); // pay the JIT once
+    compiledBackend().execute(h->nest, h->in.args, h->par); // pay the JIT once
     for (auto _ : state) {
-        auto r = compiledBackend().execute(h->nest, h->args, h->par);
+        auto r = compiledBackend().execute(h->nest, h->in.args, h->par);
         benchmark::DoNotOptimize(&r);
     }
     state.SetLabel(algorithmName(alg));
@@ -319,11 +282,11 @@ runCompare(bool smoke)
         auto h = makeNestHolder(alg, !smoke);
         holders.push_back(h);
         auto median_ms = [&](KernelBackend& be, LoopNestResult& out) {
-            out = be.execute(h->nest, h->args, h->par); // warm-up (pays JIT)
+            out = be.execute(h->nest, h->in.args, h->par); // warm-up (pays JIT)
             std::vector<double> ts;
             for (u32 r = 0; r < rounds; ++r) {
                 Timer w;
-                auto got = be.execute(h->nest, h->args, h->par);
+                auto got = be.execute(h->nest, h->in.args, h->par);
                 ts.push_back(w.seconds());
                 benchmark::DoNotOptimize(&got);
             }
@@ -343,7 +306,7 @@ runCompare(bool smoke)
     // Re-running every nest must be pure cache hits: zero new compiles.
     u64 compiles_before_repeat = compiledBackend().stats().compiles;
     for (const auto& h : holders)
-        compiledBackend().execute(h->nest, h->args, h->par);
+        compiledBackend().execute(h->nest, h->in.args, h->par);
     u64 recompiles = compiledBackend().stats().compiles -
                      compiles_before_repeat;
     u64 fallbacks = compiledBackend().stats().fallbacks - fallbacks_before;

@@ -24,6 +24,7 @@
 #include "service/tuner_service.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 using namespace waco;
@@ -103,8 +104,11 @@ main(int argc, char** argv)
 
     ServiceStats stats = server.stats();
     u64 failed = 0, untyped = 0;
+    std::vector<double> latencies; // of answered (not shed) requests
     for (const auto& per_client : responses) {
         for (const TuneResponse& r : per_client) {
+            if (r.status != ServiceStatus::Shed)
+                latencies.push_back(r.latencySeconds);
             failed += r.status == ServiceStatus::Failed;
             bool typed = r.status == ServiceStatus::Ok ||
                          r.status == ServiceStatus::Shed ||
@@ -126,8 +130,11 @@ main(int argc, char** argv)
     printRow({"requests", std::to_string(total)}, widths);
     printRow({"wall seconds", numCell(seconds, 3)}, widths);
     printRow({"throughput req/s", numCell(rps, 1)}, widths);
-    printRow({"latency p50 ms", numCell(stats.latencyP50 * 1e3, 3)}, widths);
-    printRow({"latency p99 ms", numCell(stats.latencyP99 * 1e3, 3)}, widths);
+    auto ms = [&](double p) {
+        return latencies.empty() ? 0.0 : percentile(latencies, p) * 1e3;
+    };
+    printRow({"latency p50 ms", numCell(ms(50.0), 3)}, widths);
+    printRow({"latency p99 ms", numCell(ms(99.0), 3)}, widths);
     printRow({"shed rate", numCell(shed_rate, 4)}, widths);
     printRow({"cache hits", std::to_string(stats.cacheHits)}, widths);
     for (u32 r = 0; r < 4; ++r)

@@ -310,7 +310,7 @@ runComparison3d(WacoTuner& tuner, const std::vector<Sparse3Tensor>& tests)
         MethodTimes row;
         row.matrix = t.name();
         row.waco = tuner.tune(t).bestMeasured.seconds;
-        row.fixed = fixedCsf(oracle, t).measured.seconds;
+        row.fixed = fixedCsr(oracle, t, Algorithm::MTTKRP).measured.seconds;
         row.bestformat = bf.tune(t).measured.seconds;
         rows.push_back(row);
     }

@@ -62,6 +62,7 @@
 #include "tensor/mmio.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
+#include "util/stats.hpp"
 #include "util/trace.hpp"
 
 using namespace waco;
@@ -377,17 +378,24 @@ run(int argc, char** argv)
                 tickets.push_back(server.submit(req));
             std::printf("  %-4s %-18s %-17s %-10s %s\n", "#", "status",
                         "rung", "ms", "expected ms");
+            std::vector<double> latencies; // of answered (not shed) requests
             for (std::size_t i = 0; i < tickets.size(); ++i) {
                 const TuneResponse& r = tickets[i]->wait();
                 std::printf("  %-4zu %-18s %-17s %-10.3f %.3f\n", i,
                             serviceStatusName(r.status), rungName(r.rung),
                             r.latencySeconds * 1e3,
                             r.expectedSeconds * 1e3);
+                if (r.status != ServiceStatus::Shed)
+                    latencies.push_back(r.latencySeconds);
             }
             ServiceStats st = server.stats();
+            auto ms = [&](double p) {
+                return latencies.empty() ? 0.0
+                                         : percentile(latencies, p) * 1e3;
+            };
             std::printf("  p50 %.3f ms, p99 %.3f ms, %llu cache hit(s), "
                         "%llu shed\n",
-                        st.latencyP50 * 1e3, st.latencyP99 * 1e3,
+                        ms(50.0), ms(99.0),
                         static_cast<unsigned long long>(st.cacheHits),
                         static_cast<unsigned long long>(st.shed));
         };

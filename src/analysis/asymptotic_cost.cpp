@@ -128,8 +128,10 @@ monoStr(const Mono& m)
     std::string num, den;
     auto factor = [](const char* name, int power) {
         std::string f = name;
-        if (power != 1)
-            f += "^" + std::to_string(power);
+        if (power != 1) {
+            f += '^';
+            f += std::to_string(power);
+        }
         return f;
     };
     if (nnz > 0)
@@ -146,7 +148,7 @@ monoStr(const Mono& m)
         }
     }
     if (num.empty())
-        num = "1";
+        num += '1';
     if (!den.empty())
         num += " / " + den;
     return num;

@@ -14,37 +14,24 @@ namespace {
 
 /** Measure a schedule and package it as a baseline result. */
 BaselineResult
-measureAs(const RuntimeOracle& oracle, const SparseMatrix& m,
+measureAs(const RuntimeOracle& oracle, const SparseInput& in,
           const ProblemShape& shape, const SuperSchedule& s)
 {
     BaselineResult r;
     r.schedule = s;
-    r.measured = oracle.measure(m, shape, s);
+    r.measured = oracle.measure(in, shape, s);
     return r;
 }
 
 } // namespace
 
 BaselineResult
-fixedCsr(const RuntimeOracle& oracle, const SparseMatrix& m, Algorithm alg)
+fixedCsr(const RuntimeOracle& oracle, const SparseInput& in, Algorithm alg)
 {
-    auto shape = ProblemShape::forMatrix(alg, m.rows(), m.cols());
-    auto r = measureAs(oracle, m, shape, defaultSchedule(shape));
+    auto shape = ProblemShape::forInput(alg, in);
+    auto r = measureAs(oracle, in, shape, defaultSchedule(shape));
     r.convertSeconds =
-        oracle.conversionSeconds(m.nnz(), r.measured.storedValues);
-    return r;
-}
-
-BaselineResult
-fixedCsf(const RuntimeOracle& oracle, const Sparse3Tensor& t)
-{
-    auto shape = ProblemShape::forTensor3(Algorithm::MTTKRP, t.dimI(),
-                                          t.dimK(), t.dimL());
-    BaselineResult r;
-    r.schedule = defaultSchedule(shape);
-    r.measured = oracle.measure(t, shape, r.schedule);
-    r.convertSeconds =
-        oracle.conversionSeconds(t.nnz(), r.measured.storedValues);
+        oracle.conversionSeconds(in.nnz(), r.measured.storedValues);
     return r;
 }
 

@@ -35,10 +35,9 @@ struct BaselineResult
     double convertSeconds = 0.0; ///< Format conversion (0 when reusing CSR).
 };
 
-/** TACO default (Fixed CSR / Fixed CSF). */
-BaselineResult fixedCsr(const RuntimeOracle& oracle, const SparseMatrix& m,
+/** TACO default: Fixed CSR for a matrix, Fixed CSF for a 3-tensor. */
+BaselineResult fixedCsr(const RuntimeOracle& oracle, const SparseInput& in,
                         Algorithm alg);
-BaselineResult fixedCsf(const RuntimeOracle& oracle, const Sparse3Tensor& t);
 
 /** MKL-style inspector-executor: schedule-only tuning on CSR. */
 class MklLike

@@ -11,7 +11,9 @@ namespace {
 std::string
 posVar(u32 level)
 {
-    return "p" + std::to_string(level);
+    std::string v = "p";
+    v += std::to_string(level);
+    return v;
 }
 
 /** Position expression of the level above @p level ("0" for the root). */

@@ -360,21 +360,14 @@ kernelCacheKey(const LoopNest& nest, const std::vector<bool>& inputRowMajor)
 std::vector<bool>
 inputLayoutsOf(const LoopNestArgs& args, Algorithm alg)
 {
-    auto rm = [](const DenseMatrix* m) {
-        return m == nullptr || m->layout() == Layout::RowMajor;
-    };
-    switch (alg) {
-      case Algorithm::SpMV:
-        return {}; // the vector operand has no layout
-      case Algorithm::SpMM:
-        return {rm(args.matB)};
-      case Algorithm::SDDMM:
-      case Algorithm::MTTKRP:
-        return {rm(args.matB), rm(args.matC)};
-      case Algorithm::FusedSDDMMSpMM:
-        return {rm(args.matB), rm(args.matC), rm(args.matF)};
-    }
-    return {};
+    std::vector<bool> layouts; // a vector input has no layout
+    forEachDenseInput(alg, [&](std::size_t k, const DenseOperand& op) {
+        if (op.indices.size() == 2) {
+            const DenseMatrix* m = args.matrix(k);
+            layouts.push_back(m == nullptr || m->layout() == Layout::RowMajor);
+        }
+    });
+    return layouts;
 }
 
 bool

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <sstream>
 #include <type_traits>
 #include <utility>
 
@@ -550,49 +552,71 @@ checkTensorMatchesNest(const LoopNest& nest, const HierSparseTensor& a)
     }
 }
 
+/** The LoopNestArgs member the k-th dense input binds, and the
+ *  WacoKernelArgs member its storage goes to (B, C, F). A one-index input
+ *  binds vecB instead of a matrix. */
+constexpr const DenseMatrix* LoopNestArgs::*kMatrixSlot[] = {
+    &LoopNestArgs::matB, &LoopNestArgs::matC, &LoopNestArgs::matF};
+constexpr const float* WacoKernelArgs::*kBufferSlot[] = {
+    &WacoKernelArgs::b, &WacoKernelArgs::c, &WacoKernelArgs::f};
+
+const DenseOperand&
+outputOperand(const AlgorithmInfo& info)
+{
+    for (const DenseOperand& op : info.denseOperands) {
+        if (op.isOutput)
+            return op;
+    }
+    panic("algorithm has no output operand");
+}
+
+/** True when the output is indexed exactly by A's dimensions (SDDMM): it
+ *  has one value per stored position of A, accumulated in place. */
+bool
+outputOnSparsePattern(const AlgorithmInfo& info, const DenseOperand& out)
+{
+    for (u32 d = 0; d < out.indices.size(); ++d) {
+        if (info.sparseDim[out.indices[d]] != static_cast<int>(d))
+            return false;
+    }
+    return out.indices.size() == info.sparseOrder;
+}
+
+/** Each dense input the table names must be bound with its operand's
+ *  extents; the error names the algorithm and the operand. */
 void
 checkLoopNestArgs(const LoopNest& nest, const LoopNestArgs& args)
 {
     fatalIf(args.a == nullptr, "executeLoopNest: missing sparse operand");
     checkTensorMatchesNest(nest, *args.a);
     const auto& ext = nest.shape().indexExtent;
-    switch (nest.alg()) {
-      case Algorithm::SpMV:
-        fatalIf(args.vecB == nullptr || args.vecB->size() != ext[1],
-                "SpMV operand size mismatch");
-        break;
-      case Algorithm::SpMM:
-        fatalIf(args.matB == nullptr || args.matB->rows() != ext[1] ||
-                    args.matB->cols() != ext[2],
-                "SpMM operand shape mismatch");
-        break;
-      case Algorithm::SDDMM:
-        fatalIf(args.matB == nullptr || args.matC == nullptr ||
-                    args.matB->rows() != ext[0] ||
-                    args.matB->cols() != ext[2] ||
-                    args.matC->rows() != ext[2] ||
-                    args.matC->cols() != ext[1],
-                "SDDMM operand shape mismatch");
-        break;
-      case Algorithm::MTTKRP:
-        fatalIf(args.matB == nullptr || args.matC == nullptr ||
-                    args.matB->rows() != ext[1] ||
-                    args.matC->rows() != ext[2] ||
-                    args.matB->cols() != ext[3] ||
-                    args.matC->cols() != ext[3],
-                "MTTKRP operand shape mismatch");
-        break;
-      case Algorithm::FusedSDDMMSpMM:
-        fatalIf(args.matB == nullptr || args.matC == nullptr ||
-                    args.matF == nullptr || args.matB->rows() != ext[0] ||
-                    args.matB->cols() != ext[2] ||
-                    args.matC->rows() != ext[2] ||
-                    args.matC->cols() != ext[1] ||
-                    args.matF->rows() != ext[1] ||
-                    args.matF->cols() != ext[3],
-                "FusedSDDMMSpMM operand shape mismatch");
-        break;
-    }
+    forEachDenseInput(nest.alg(), [&](std::size_t k, const DenseOperand& op) {
+        std::vector<u64> want, got;
+        for (u32 idx : op.indices)
+            want.push_back(ext[idx]);
+        if (op.indices.size() == 1 && args.vecB != nullptr)
+            got = {args.vecB->size()};
+        if (op.indices.size() == 2 && args.matrix(k) != nullptr)
+            got = {args.matrix(k)->rows(), args.matrix(k)->cols()};
+        if (got == want)
+            return;
+        std::ostringstream msg;
+        auto put = [&](const std::vector<u64>& e) {
+            for (std::size_t d = 0; d < e.size(); ++d)
+                msg << (d ? "x" : "") << e[d];
+        };
+        msg << "executeLoopNest: " << algorithmName(nest.alg())
+            << " operand " << op.name;
+        if (got.empty()) {
+            msg << " is missing";
+        } else {
+            msg << " has extents ";
+            put(got);
+            msg << ", expected ";
+            put(want);
+        }
+        fatal(msg.str());
+    });
 }
 
 std::pair<u64, u64>
@@ -651,38 +675,29 @@ driveLoopNest(const LoopNest& nest, const LoopNestArgs& args,
     }
     buf.vals = a.values().data();
 
+    forEachDenseInput(nest.alg(), [&](std::size_t k, const DenseOperand& op) {
+        buf.*kBufferSlot[k] = op.indices.size() == 1
+                                  ? args.vecB->data().data()
+                                  : args.matrix(k)->data().data();
+    });
+
+    // The output is sized by its operand's indices, row-major; one indexed
+    // by A's dimensions (SDDMM) gets one accumulator per stored position.
+    const AlgorithmInfo& info = algorithmInfo(nest.alg());
+    const DenseOperand& out = outputOperand(info);
+    const bool onPattern = outputOnSparsePattern(info, out);
     LoopNestResult r;
-    std::vector<float> dvals; // SDDMM per-stored-position accumulators
-    switch (nest.alg()) {
-      case Algorithm::SpMV:
-        buf.b = args.vecB->data().data();
-        r.vec = DenseVector(ext[0], 0.0f);
-        buf.out = r.vec.data().data();
-        break;
-      case Algorithm::SpMM:
-        buf.b = args.matB->data().data();
-        r.mat = DenseMatrix(ext[0], ext[2], Layout::RowMajor, 0.0f);
-        buf.out = r.mat.data().data();
-        break;
-      case Algorithm::SDDMM:
-        buf.b = args.matB->data().data();
-        buf.c = args.matC->data().data();
+    std::vector<float> dvals;
+    if (onPattern) {
         dvals.assign(a.storedValues(), 0.0f);
         buf.out = dvals.data();
-        break;
-      case Algorithm::MTTKRP:
-        buf.b = args.matB->data().data();
-        buf.c = args.matC->data().data();
-        r.mat = DenseMatrix(ext[0], ext[3], Layout::RowMajor, 0.0f);
+    } else if (out.indices.size() == 1) {
+        r.vec = DenseVector(ext[out.indices[0]], 0.0f);
+        buf.out = r.vec.data().data();
+    } else {
+        r.mat = DenseMatrix(ext[out.indices[0]], ext[out.indices[1]],
+                            Layout::RowMajor, 0.0f);
         buf.out = r.mat.data().data();
-        break;
-      case Algorithm::FusedSDDMMSpMM:
-        buf.b = args.matB->data().data();
-        buf.c = args.matC->data().data();
-        buf.f = args.matF->data().data();
-        r.mat = DenseMatrix(ext[0], ext[3], Layout::RowMajor, 0.0f);
-        buf.out = r.mat.data().data();
-        break;
     }
 
     const u32 wsExtent = nest.fused() ? nest.workspace().extent : 0;
@@ -705,7 +720,7 @@ driveLoopNest(const LoopNest& nest, const LoopNestArgs& args,
         }
     }
 
-    if (nest.alg() == Algorithm::SDDMM)
+    if (onPattern)
         r.sparse = assembleSddmmOutput(a, dvals);
     return r;
 }
@@ -726,6 +741,44 @@ executeLoopNest(const LoopNest& nest, const LoopNestArgs& args,
 #endif
     const Interpreter interp(nest, args);
     return driveLoopNest(nest, args, par, std::cref(interp));
+}
+
+const DenseMatrix*
+LoopNestArgs::matrix(std::size_t k) const
+{
+    if (k >= std::size(kMatrixSlot))
+        panic("LoopNestArgs: no dense input slot");
+    return this->*kMatrixSlot[k];
+}
+
+DenseInputs
+makeDenseInputs(const LoopNest& nest, const std::vector<bool>& inputRowMajor,
+                const HierSparseTensor& a, const DenseInputFill& fill)
+{
+    const auto& ext = nest.shape().indexExtent;
+    DenseInputs in;
+    // Reserved up front: args points into these buffers as they fill (the
+    // one vector input LoopNestArgs can bind, one per layout flag).
+    in.vecs.reserve(1);
+    in.mats.reserve(inputRowMajor.size());
+    in.args.a = &a;
+    forEachDenseInput(nest.alg(), [&](std::size_t k, const DenseOperand& op) {
+        if (op.indices.size() == 1) {
+            DenseVector& v = in.vecs.emplace_back(ext[op.indices[0]]);
+            fill(k, v.data());
+            in.args.vecB = &v;
+            return;
+        }
+        panicIf(in.mats.size() >= inputRowMajor.size(),
+                "makeDenseInputs: a matrix input has no layout");
+        const bool rowMajor = inputRowMajor[in.mats.size()];
+        DenseMatrix& m = in.mats.emplace_back(
+            ext[op.indices[0]], ext[op.indices[1]],
+            rowMajor ? Layout::RowMajor : Layout::ColMajor);
+        fill(k, m.data());
+        in.args.*kMatrixSlot[k] = &m;
+    });
+    return in;
 }
 
 u64

@@ -17,6 +17,12 @@
  * loops stay tight; an unsplit dense-only innermost loop is fused into the
  * leaf as a vectorizable tail.
  *
+ * Operand shapes, layouts and checks come from one table,
+ * algorithmInfo(alg).denseOperands: it names the dense inputs a nest
+ * reads and in what order they bind (LoopNestArgs), each one's extents,
+ * and the output's shape. makeDenseInputs allocates inputs from it, and
+ * inputLayoutsOf (codegen/kernel_backend.hpp) reads their layouts by it.
+ *
  * Both engines run through one driver, driveLoopNest: it checks the
  * operands, allocates the output, and chunks the outermost loop over the
  * persistent global ThreadPool (util/thread_pool.hpp) whenever its index
@@ -56,8 +62,13 @@ struct ParallelConfig
     u32 chunk = 128;
 };
 
-/** Operands of one executeLoopNest call; only the algorithm's inputs are
- *  read (`a` always, `vecB` for SpMV, `matB`/`matC` per einsum). */
+/**
+ * Operands of one executeLoopNest call. `a` is always read; the dense
+ * inputs are the non-output entries of algorithmInfo(alg).denseOperands,
+ * in table order: the k-th binds the k-th of B, C, F — `vecB` for a
+ * one-index operand (SpMV's B), `matB`/`matC`/`matF` otherwise. Each is
+ * sized by its operand's indices; a matrix may be in either layout.
+ */
 struct LoopNestArgs
 {
     const HierSparseTensor* a = nullptr;
@@ -65,7 +76,61 @@ struct LoopNestArgs
     const DenseMatrix* matB = nullptr; ///< SpMM / SDDMM / MTTKRP / fused B.
     const DenseMatrix* matC = nullptr; ///< SDDMM / MTTKRP / fused C.
     const DenseMatrix* matF = nullptr; ///< FusedSDDMMSpMM F.
+
+    /** The matrix the @p k-th dense input binds (matB, matC, matF). */
+    const DenseMatrix* matrix(std::size_t k) const;
 };
+
+/** Call @p visit(k, op) for each dense input of @p alg: the non-output
+ *  entries of algorithmInfo(alg).denseOperands in table order, k counting
+ *  inputs only (LoopNestArgs binds at most three: B, C, F). */
+template <class Visit>
+void
+forEachDenseInput(Algorithm alg, const Visit& visit)
+{
+    std::size_t k = 0;
+    for (const DenseOperand& op : algorithmInfo(alg).denseOperands) {
+        if (op.isOutput)
+            continue;
+        if (k >= 3)
+            panic("more than three dense inputs");
+        visit(k++, op);
+    }
+}
+
+/** Writes the values of dense input @p k (table order, outputs skipped)
+ *  in storage order. */
+using DenseInputFill =
+    std::function<void(std::size_t k, std::vector<float>& values)>;
+
+/**
+ * Owned dense inputs of one nest and the LoopNestArgs bound to them and to
+ * the sparse operand. Move-only: `args` points into the heap storage of
+ * `vecs`/`mats`, which a move carries over unchanged.
+ */
+struct DenseInputs
+{
+    std::vector<DenseVector> vecs; ///< SpMV's B, else empty.
+    std::vector<DenseMatrix> mats; ///< The matrix inputs, in table order.
+    LoopNestArgs args;
+
+    DenseInputs() = default;
+    DenseInputs(DenseInputs&&) = default;
+    DenseInputs& operator=(DenseInputs&&) = default;
+    DenseInputs(const DenseInputs&) = delete;
+    DenseInputs& operator=(const DenseInputs&) = delete;
+};
+
+/**
+ * Allocate every dense input @p nest reads, sized from the nest's shape by
+ * its operand's indices, filled by @p fill, the matrices laid out as
+ * @p inputRowMajor says (inputRowMajorOf order: one flag per matrix
+ * input), and bind them with @p a.
+ */
+DenseInputs makeDenseInputs(const LoopNest& nest,
+                            const std::vector<bool>& inputRowMajor,
+                            const HierSparseTensor& a,
+                            const DenseInputFill& fill);
 
 /** Result of one executeLoopNest call; the algorithm determines which
  *  member is populated. */
@@ -115,8 +180,10 @@ using NestRangeFn = std::function<void(const WacoKernelArgs& buf, u64 begin,
 
 /**
  * The one nest driver both engines run through. It checks @p args
- * against the nest (executeLoopNest's contract), allocates the output
- * (SDDMM: one accumulator per stored position of A), and computes the
+ * against the nest's operand table (executeLoopNest's contract: a
+ * FatalError names a missing or mis-shaped input), allocates the output
+ * from the output operand's indices (one indexed by A's dimensions,
+ * SDDMM's, gets one accumulator per stored position of A), and computes the
  * top loop's domain: coordinates for a Dense/U top node, absolute crd
  * positions for a Compressed one. When the top loop is parallelizable
  * and @p par asks for more than one thread, the domain is chunked over

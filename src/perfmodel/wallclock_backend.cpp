@@ -16,23 +16,14 @@ namespace {
 /** Timed executions per measure(); their median is reported. */
 constexpr u32 kTimedRounds = 3;
 
-/** Deterministic integer-valued fill: measurements must not depend on
- *  which measure() call happened first. */
+/** Deterministic integer values in 1..3, one Rng seeded per input:
+ *  measurements must not depend on which measure() call happened first. */
 void
-fillDeterministic(std::vector<float>& data, u64 seed)
+fillDeterministic(std::size_t input, std::vector<float>& data)
 {
-    Rng rng(seed);
+    Rng rng(input + 1);
     for (auto& x : data)
         x = static_cast<float>(rng.uniformInt(1, 3));
-}
-
-DenseMatrix
-makeOperand(u64 rows, u64 cols, bool rowMajor, u64 seed)
-{
-    DenseMatrix m(rows, cols,
-                  rowMajor ? Layout::RowMajor : Layout::ColMajor);
-    fillDeterministic(m.data(), seed);
-    return m;
 }
 
 Measurement
@@ -51,45 +42,11 @@ Measurement
 WallclockMeasurer::run(const HierSparseTensor& t, const ProblemShape& shape,
                        const SuperSchedule& s) const
 {
-    const auto& ext = shape.indexExtent;
     LoopNest nest = lower(s, shape);
 
     // Dense operands, sized by the einsum and laid out as scheduled.
-    LoopNestArgs args;
-    args.a = &t;
-    DenseVector vecB;
-    DenseMatrix matB, matC, matF;
-    switch (s.alg) {
-      case Algorithm::SpMV:
-        vecB = DenseVector(ext[1]);
-        fillDeterministic(vecB.data(), 1);
-        args.vecB = &vecB;
-        break;
-      case Algorithm::SpMM:
-        matB = makeOperand(ext[1], ext[2], denseRowMajorOf(s, 0), 1);
-        args.matB = &matB;
-        break;
-      case Algorithm::SDDMM:
-        matB = makeOperand(ext[0], ext[2], denseRowMajorOf(s, 0), 1);
-        matC = makeOperand(ext[2], ext[1], denseRowMajorOf(s, 1), 2);
-        args.matB = &matB;
-        args.matC = &matC;
-        break;
-      case Algorithm::MTTKRP:
-        matB = makeOperand(ext[1], ext[3], denseRowMajorOf(s, 0), 1);
-        matC = makeOperand(ext[2], ext[3], denseRowMajorOf(s, 1), 2);
-        args.matB = &matB;
-        args.matC = &matC;
-        break;
-      case Algorithm::FusedSDDMMSpMM:
-        matB = makeOperand(ext[0], ext[2], denseRowMajorOf(s, 0), 1);
-        matC = makeOperand(ext[2], ext[1], denseRowMajorOf(s, 1), 2);
-        matF = makeOperand(ext[1], ext[3], denseRowMajorOf(s, 2), 3);
-        args.matB = &matB;
-        args.matC = &matC;
-        args.matF = &matF;
-        break;
-    }
+    const DenseInputs in =
+        makeDenseInputs(nest, inputRowMajorOf(s), t, fillDeterministic);
 
     ParallelConfig par{
         std::min(std::max(1u, s.numThreads), hardwareThreads()),
@@ -97,13 +54,13 @@ WallclockMeasurer::run(const HierSparseTensor& t, const ProblemShape& shape,
 
     // Warm-up run: pays JIT compilation / cache population and faults the
     // operands in, so the timed rounds measure steady-state execution.
-    exec_.execute(nest, args, par);
+    exec_.execute(nest, in.args, par);
 
     std::vector<double> rounds;
     rounds.reserve(kTimedRounds);
     for (u32 r = 0; r < kTimedRounds; ++r) {
         auto t0 = std::chrono::steady_clock::now();
-        exec_.execute(nest, args, par);
+        exec_.execute(nest, in.args, par);
         auto t1 = std::chrono::steady_clock::now();
         rounds.push_back(std::chrono::duration<double>(t1 - t0).count());
     }

@@ -1,11 +1,9 @@
 #include "service/tuner_service.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
-#include "util/stats.hpp"
 #include "util/trace.hpp"
 
 namespace waco::service {
@@ -76,39 +74,6 @@ TuneTicket::wait()
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] { return done_; });
     return response_;
-}
-
-// --------------------------------------------------------------- ServiceStats
-
-std::string
-ServiceStats::toJson() const
-{
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"submitted\": " << submitted << ",\n";
-    os << "  \"completed\": " << completed << ",\n";
-    os << "  \"shed\": " << shed << ",\n";
-    os << "  \"ok\": " << ok << ",\n";
-    os << "  \"degraded\": " << degraded << ",\n";
-    os << "  \"cancelled\": " << cancelled << ",\n";
-    os << "  \"deadline_exceeded\": " << deadlineExceeded << ",\n";
-    os << "  \"failed\": " << failed << ",\n";
-    os << "  \"cache_hits\": " << cacheHits << ",\n";
-    os << "  \"cache_misses\": " << cacheMisses << ",\n";
-    os << "  \"rungs\": {";
-    for (u32 r = 0; r < 4; ++r) {
-        os << (r ? ", " : "") << '"'
-           << rungName(static_cast<DegradationRung>(r)) << "\": "
-           << rungCounts[r];
-    }
-    os << "},\n";
-    os << "  \"breaker\": {\"opened\": " << breakerOpened
-       << ", \"half_opened\": " << breakerHalfOpened
-       << ", \"closed\": " << breakerClosed << "},\n";
-    os << "  \"latency_p50_ms\": " << latencyP50 * 1e3 << ",\n";
-    os << "  \"latency_p99_ms\": " << latencyP99 * 1e3 << "\n";
-    os << "}\n";
-    return os.str();
 }
 
 // --------------------------------------------------------------- TunerService
@@ -257,7 +222,6 @@ TunerService::finish(const TicketPtr& t, TuneResponse&& r)
             break;
           default: break;
         }
-        latencies_.push_back(r.latencySeconds);
         if (t->enqueued_) {
             auto it = tenantInflight_.find(t->tenant_);
             if (it != tenantInflight_.end() && it->second > 0)
@@ -444,19 +408,13 @@ ServiceStats
 TunerService::stats() const
 {
     ServiceStats s;
-    std::vector<double> lat;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         s = stats_;
-        lat = latencies_;
     }
     s.breakerOpened = breaker_.timesOpened();
     s.breakerClosed = breaker_.timesClosed();
     s.breakerHalfOpened = breaker_.timesHalfOpened();
-    if (!lat.empty()) {
-        s.latencyP50 = percentile(lat, 50.0);
-        s.latencyP99 = percentile(lat, 99.0);
-    }
     return s;
 }
 

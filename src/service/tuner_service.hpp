@@ -172,10 +172,6 @@ struct ServiceStats
     u64 breakerOpened = 0;
     u64 breakerClosed = 0;
     u64 breakerHalfOpened = 0;
-    double latencyP50 = 0.0;
-    double latencyP99 = 0.0;
-
-    std::string toJson() const;
 };
 
 /** The server. Owns a worker thread; construction starts it. */
@@ -239,7 +235,6 @@ class TunerService
     bool stopping_ = false;
     bool paused_ = false;
     ServiceStats stats_;
-    std::vector<double> latencies_;
 
     std::thread worker_; ///< Started last; owns all tuner access.
 };

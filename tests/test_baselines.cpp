@@ -38,7 +38,7 @@ TEST_F(BaselineTest, FixedCsfForTensors)
 {
     Rng rng(2);
     auto t = genTensor3(200, 150, 100, 3000, rng);
-    auto r = fixedCsf(oracle, t);
+    auto r = fixedCsr(oracle, t, Algorithm::MTTKRP);
     EXPECT_TRUE(r.measured.valid);
     EXPECT_GT(r.measured.seconds, 0.0);
 }

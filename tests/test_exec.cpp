@@ -4,11 +4,13 @@
  * sampled SuperSchedule can describe, run in its own storage order through
  * KernelBackend::execute, must agree with the dense references, and with
  * its own serial run bit for bit under any parallel configuration;
- * reduction-major storage must be detected (and then run serially); and
+ * reduction-major storage must be detected (and then run serially); a
+ * missing or mis-shaped dense input must be rejected by name; and
  * WallclockMeasurer must report a sane median over either engine.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "codegen/kernel_backend.hpp"
@@ -219,6 +221,80 @@ TEST(ScheduledExec, MttkrpMatchesReference)
     LoopNestArgs args{.a = &csf, .matB = &b, .matC = &c};
     auto got = runStorageOrder(Algorithm::MTTKRP, args, {3, 4}).mat;
     EXPECT_LT(maxAbsDiff(want, got), 1e-3);
+}
+
+/**
+ * The operand door: for every algorithm, dropping any one dense input, or
+ * giving it transposed extents (a vector: a wrong length), makes
+ * executeLoopNest throw a FatalError naming the algorithm and the operand.
+ */
+TEST(ExecOperands, MissingOrTransposedInputIsNamed)
+{
+    const DenseMatrix* LoopNestArgs::*matrixSlot[] = {
+        &LoopNestArgs::matB, &LoopNestArgs::matC, &LoopNestArgs::matF};
+    Rng rng(29);
+    auto m = randomMatrix(12, 10, 40, rng);
+    std::vector<Quad> q;
+    for (int n = 0; n < 40; ++n) {
+        q.push_back({static_cast<u32>(rng.index(9)),
+                     static_cast<u32>(rng.index(8)),
+                     static_cast<u32>(rng.index(7)), 1.0f});
+    }
+    Sparse3Tensor t3(9, 8, 7, q);
+
+    for (Algorithm alg : allAlgorithms()) {
+        const AlgorithmInfo& info = algorithmInfo(alg);
+        const bool tensor3 = info.sparseOrder == 3;
+        auto shape = tensor3 ? ProblemShape::forTensor3(alg, 9, 8, 7, 5)
+                             : ProblemShape::forMatrix(alg, 12, 10, 6);
+        SuperSchedule s = defaultSchedule(shape);
+        auto t = tensor3 ? HierSparseTensor::build(formatOf(s, shape), t3)
+                         : HierSparseTensor::build(formatOf(s, shape), m);
+        LoopNest nest = lower(s, shape);
+        const DenseInputs in = makeDenseInputs(
+            nest, inputRowMajorOf(s), t,
+            [](std::size_t, std::vector<float>& v) {
+                std::fill(v.begin(), v.end(), 1.0f);
+            });
+        EXPECT_NO_THROW(executeLoopNest(nest, in.args))
+            << algorithmName(alg);
+
+        auto expectNamed = [&](const LoopNestArgs& bad, const DenseOperand& op,
+                               const char* what) {
+            try {
+                executeLoopNest(nest, bad);
+                ADD_FAILURE() << algorithmName(alg) << " " << op.name << ": "
+                              << what << " was accepted";
+            } catch (const FatalError& e) {
+                const std::string msg = e.what();
+                EXPECT_NE(msg.find(algorithmName(alg) + " operand " + op.name),
+                          std::string::npos)
+                    << what << ": " << msg;
+            }
+        };
+        std::size_t inputs = 0;
+        forEachDenseInput(alg, [&](std::size_t k, const DenseOperand& op) {
+            ++inputs;
+            LoopNestArgs dropped = in.args;
+            LoopNestArgs transposed = in.args;
+            DenseVector longer;
+            DenseMatrix flipped;
+            if (op.indices.size() == 1) {
+                dropped.vecB = nullptr;
+                longer = DenseVector(in.args.vecB->size() + 1);
+                transposed.vecB = &longer;
+            } else {
+                const DenseMatrix& good = *in.args.matrix(k);
+                ASSERT_NE(good.rows(), good.cols()) << op.name;
+                dropped.*matrixSlot[k] = nullptr;
+                flipped = DenseMatrix(good.cols(), good.rows(), good.layout());
+                transposed.*matrixSlot[k] = &flipped;
+            }
+            expectNamed(dropped, op, "a missing input");
+            expectNamed(transposed, op, "transposed extents");
+        });
+        EXPECT_EQ(inputs + 1, info.denseOperands.size()) << algorithmName(alg);
+    }
 }
 
 /** Median is finite and positive, and every measure() call counts once. */

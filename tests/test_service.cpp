@@ -846,7 +846,6 @@ TEST(ServiceTsan, ConcurrentSoakUnderFaultsAndCancellations)
         rung_total += stats.rungCounts[r];
     EXPECT_EQ(rung_total, stats.completed);
     EXPECT_EQ(stats.failed, 0u);
-    EXPECT_FALSE(stats.toJson().empty());
 
     service.reset(); // join the worker before restoring the backend
     tuner.setMeasurementBackend(tuner.oracle());

@@ -34,15 +34,6 @@ nonInteger(Rng& rng)
     return static_cast<float>(rng.uniformReal(-1.0, 1.0));
 }
 
-DenseMatrix
-floatMatrix(u64 rows, u64 cols, bool rowMajor, Rng& rng)
-{
-    DenseMatrix m(rows, cols, rowMajor ? Layout::RowMajor : Layout::ColMajor);
-    for (auto& x : m.data())
-        x = nonInteger(rng);
-    return m;
-}
-
 /** Bit patterns of every output value, in storage order. */
 std::vector<u32>
 bitsOf(const LoopNestResult& r)
@@ -57,54 +48,17 @@ bitsOf(const LoopNestResult& r)
     return bits;
 }
 
-/** Operands for one schedule, laid out as the schedule chose. */
-struct Operands
+/** Non-integer dense operands for one schedule, laid out as it chose and
+ *  drawn from @p rng in table order, each in storage order. */
+DenseInputs
+makeOperands(const SuperSchedule& s, const LoopNest& nest,
+             const HierSparseTensor& t, Rng& rng)
 {
-    DenseVector vec;
-    DenseMatrix b, c, f;
-    LoopNestArgs args;
-};
-
-void
-makeOperands(const SuperSchedule& s, const ProblemShape& shape,
-             const HierSparseTensor& t, Rng& rng, Operands& o)
-{
-    const auto& ext = shape.indexExtent;
-    o.args = {};
-    o.args.a = &t;
-    auto rm = [&](std::size_t op) { return denseRowMajorOf(s, op); };
-    switch (s.alg) {
-      case Algorithm::SpMV:
-        o.vec = DenseVector(ext[1]);
-        for (u64 i = 0; i < o.vec.size(); ++i)
-            o.vec[i] = nonInteger(rng);
-        o.args.vecB = &o.vec;
-        return;
-      case Algorithm::SpMM:
-        o.b = floatMatrix(ext[1], ext[2], rm(0), rng);
-        o.args.matB = &o.b;
-        return;
-      case Algorithm::SDDMM:
-        o.b = floatMatrix(ext[0], ext[2], rm(0), rng);
-        o.c = floatMatrix(ext[2], ext[1], rm(1), rng);
-        o.args.matB = &o.b;
-        o.args.matC = &o.c;
-        return;
-      case Algorithm::MTTKRP:
-        o.b = floatMatrix(ext[1], ext[3], rm(0), rng);
-        o.c = floatMatrix(ext[2], ext[3], rm(1), rng);
-        o.args.matB = &o.b;
-        o.args.matC = &o.c;
-        return;
-      case Algorithm::FusedSDDMMSpMM:
-        o.b = floatMatrix(ext[0], ext[2], rm(0), rng);
-        o.c = floatMatrix(ext[2], ext[1], rm(1), rng);
-        o.f = floatMatrix(ext[1], ext[3], rm(2), rng);
-        o.args.matB = &o.b;
-        o.args.matC = &o.c;
-        o.args.matF = &o.f;
-        return;
-    }
+    return makeDenseInputs(nest, inputRowMajorOf(s), t,
+                           [&](std::size_t, std::vector<float>& values) {
+                               for (auto& x : values)
+                                   x = nonInteger(rng);
+                           });
 }
 
 /**
@@ -158,8 +112,7 @@ checkInvariance(Algorithm alg, u32 target, u64 seed)
             continue;
         }
         LoopNest nest = lower(s, shape);
-        Operands o;
-        makeOperands(s, shape, *t, rng, o);
+        const DenseInputs o = makeOperands(s, nest, *t, rng);
         parallel += topLoopParallelizable(nest) ? 1 : 0;
 
         const auto want = bitsOf(executeLoopNest(nest, o.args, {1, kChunk}));
