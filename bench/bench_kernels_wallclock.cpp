@@ -16,9 +16,10 @@
 #include "codegen/kernel_backend.hpp"
 #include "common.hpp"
 #include "data/generators.hpp"
+#include "perfmodel/wallclock_backend.hpp"
 #include "util/metrics.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 using namespace waco;
 
@@ -133,11 +134,11 @@ BM_FormatBuild(benchmark::State& state)
 // ---------------------------------------------------------------------------
 // Compiled backend vs interpreter: the same lowered LoopNest executed by
 // the generic interpreter and by the JIT'd C kernel, for all five
-// algorithms. `--compare [--smoke]` runs a standalone harness with hard
-// bitwise-equality / zero-recompile / zero-fallback checks, plus the
-// SpMM/fused speedup floor at full size only (the smoke sizes are too small
-// to time); without it the `BM_NestExec_*` rows run under google-benchmark
-// like everything else in this binary.
+// algorithms, timed as an alternating A/B pair through timeRounds (the
+// one timing loop, perfmodel/wallclock_backend.hpp). `--compare [--smoke]`
+// runs it with hard bitwise-equality / zero-recompile / zero-fallback
+// checks, plus the SpMM/fused speedup floor at full size only (the smoke
+// sizes are too small to time).
 // ---------------------------------------------------------------------------
 
 /** Owns everything one lowered-nest execution needs (stable addresses:
@@ -198,37 +199,6 @@ makeNestHolder(Algorithm alg, bool large)
     return h;
 }
 
-void
-BM_NestExec_Interp(benchmark::State& state)
-{
-    auto alg = static_cast<Algorithm>(state.range(0));
-    auto h = makeNestHolder(alg, false);
-    for (auto _ : state) {
-        auto r = interpreterBackend().execute(h->nest, h->in.args, h->par);
-        benchmark::DoNotOptimize(&r);
-    }
-    state.SetLabel(algorithmName(alg));
-    state.SetItemsProcessed(state.iterations() * h->t.storedValues());
-}
-
-void
-BM_NestExec_Compiled(benchmark::State& state)
-{
-    auto alg = static_cast<Algorithm>(state.range(0));
-    if (!compiledBackend().compilerAvailable()) {
-        state.SkipWithError("no working system C compiler");
-        return;
-    }
-    auto h = makeNestHolder(alg, false);
-    compiledBackend().execute(h->nest, h->in.args, h->par); // pay the JIT once
-    for (auto _ : state) {
-        auto r = compiledBackend().execute(h->nest, h->in.args, h->par);
-        benchmark::DoNotOptimize(&r);
-    }
-    state.SetLabel(algorithmName(alg));
-    state.SetItemsProcessed(state.iterations() * h->t.storedValues());
-}
-
 bool
 bitwiseEqual(const LoopNestResult& a, const LoopNestResult& b)
 {
@@ -255,6 +225,7 @@ runCompare(bool smoke)
     using waco::bench::numCell;
     using waco::bench::printHeader;
     using waco::bench::printRow;
+    using waco::bench::ratioIqrCell;
     using waco::bench::speedupCell;
 
     printHeader("kernels_compiled",
@@ -272,6 +243,7 @@ runCompare(bool smoke)
         std::string name;
         u64 nnz = 0;
         double interp_ms = 0, compiled_ms = 0;
+        std::string iqr; ///< Of the per-round interp/compiled ratios.
         bool equal = false;
     };
     std::vector<Row> rows;
@@ -281,24 +253,21 @@ runCompare(bool smoke)
     for (Algorithm alg : allAlgorithms()) {
         auto h = makeNestHolder(alg, !smoke);
         holders.push_back(h);
-        auto median_ms = [&](KernelBackend& be, LoopNestResult& out) {
-            out = be.execute(h->nest, h->in.args, h->par); // warm-up (pays JIT)
-            std::vector<double> ts;
-            for (u32 r = 0; r < rounds; ++r) {
-                Timer w;
-                auto got = be.execute(h->nest, h->in.args, h->par);
-                ts.push_back(w.seconds());
-                benchmark::DoNotOptimize(&got);
-            }
-            std::sort(ts.begin(), ts.end());
-            return ts[ts.size() / 2] * 1e3;
-        };
+        // Interpreter against compiled, alternating which runs first; the
+        // warm-up pays the JIT, and the last outputs are compared.
+        LoopNestResult ri, rc;
+        auto secs = timeRounds(
+            rounds,
+            {[&] { ri = interpreterBackend().execute(h->nest, h->in.args,
+                                                     h->par); },
+             [&] { rc = compiledBackend().execute(h->nest, h->in.args,
+                                                  h->par); }});
         Row row;
         row.name = algorithmName(alg);
         row.nnz = h->t.storedValues();
-        LoopNestResult ri, rc;
-        row.interp_ms = median_ms(interpreterBackend(), ri);
-        row.compiled_ms = median_ms(compiledBackend(), rc);
+        row.interp_ms = median(secs[0]) * 1e3;
+        row.compiled_ms = median(secs[1]) * 1e3;
+        row.iqr = ratioIqrCell(secs[0], secs[1]);
         row.equal = bitwiseEqual(ri, rc);
         rows.push_back(row);
     }
@@ -314,14 +283,14 @@ runCompare(bool smoke)
         metrics::MetricsRegistry::instance().counter("codegen.compiles")
             .total());
 
-    const std::vector<int> widths = {16, 10, 12, 12, 10, 8};
+    const std::vector<int> widths = {16, 10, 12, 12, 10, 14, 8};
     printRow({"kernel", "nnz", "interp ms", "compiled ms", "speedup",
-              "bitwise"},
+              "speedup IQR", "bitwise"},
              widths);
     for (const Row& r : rows)
         printRow({r.name, std::to_string(r.nnz), numCell(r.interp_ms, 3),
                   numCell(r.compiled_ms, 3),
-                  speedupCell(r.interp_ms / r.compiled_ms),
+                  speedupCell(r.interp_ms / r.compiled_ms), r.iqr,
                   r.equal ? "ok" : "DIFF"},
                  widths);
     std::printf("compiles %llu (codegen.compiles %llu), repeat recompiles "
@@ -367,8 +336,6 @@ BENCHMARK(BM_SpmvHierFormat)->DenseRange(0, 3);
 BENCHMARK(BM_FusedSddmmSpmm_Unfused);
 BENCHMARK(BM_FusedSddmmSpmm_Fused);
 BENCHMARK(BM_FormatBuild);
-BENCHMARK(BM_NestExec_Interp)->DenseRange(0, 4);
-BENCHMARK(BM_NestExec_Compiled)->DenseRange(0, 4);
 
 } // namespace
 

@@ -10,14 +10,22 @@
  * contract from DESIGN.md §8. For reference the enabled path is timed
  * too (expected to cost real time; no assertion).
  *
+ * Timing goes through timeRounds (perfmodel/wallclock_backend.hpp): bare
+ * and disabled alternate which runs first each round, so run order and
+ * host drift hit both alike; each side reports its best round (a min over
+ * rounds discards scheduler noise, which a <2% bound cannot tolerate in a
+ * mean), and the ratio prints with the IQR of its per-round ratios.
+ *
  * `--smoke` shrinks repetitions for the `perf` ctest gate
  * (`ctest -C perf -L perf`) but keeps the 2% hard failure (exit 1).
  */
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "common.hpp"
+#include "perfmodel/wallclock_backend.hpp"
 #include "util/metrics.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
@@ -67,26 +75,6 @@ kernelInstrumented(const std::vector<float>& a, const std::vector<float>& b,
     return acc;
 }
 
-/**
- * Best-of-reps seconds for @p calls invocations of @p fn. Min over
- * repetitions discards scheduler noise, which a <2% assertion cannot
- * tolerate in a mean.
- */
-template <typename Fn>
-double
-bestSeconds(u32 reps, u32 calls, const std::vector<float>& a,
-            const std::vector<float>& b, Fn&& fn, double& sink)
-{
-    double best = 1e30;
-    for (u32 r = 0; r < reps; ++r) {
-        Timer t;
-        for (u32 c = 0; c < calls; ++c)
-            sink += fn(a, b, c);
-        best = std::min(best, t.seconds());
-    }
-    return best;
-}
-
 } // namespace
 
 int
@@ -108,54 +96,46 @@ main(int argc, char** argv)
     const u32 kReps = smoke ? 15u : 40u;
     const u32 kCalls = smoke ? 400u : 2000u;
     double sink = 0.0;
-
-    // Warm-up: fault in code paths and (for the enabled pass later) the
-    // thread-local shard so allocation never lands inside a timed region.
-    sink += kernelBare(a, b, 0) + kernelInstrumented(a, b, 0);
+    // One timed side: kCalls invocations of @p fn.
+    auto calls = [&](auto fn) {
+        return [&, fn] {
+            for (u32 c = 0; c < kCalls; ++c)
+                sink += fn(a, b, c);
+        };
+    };
+    auto best = [](const std::vector<double>& secs) {
+        return *std::min_element(secs.begin(), secs.end());
+    };
 
     trace::setEnabled(false);
     metrics::setEnabled(false);
-    double bare = bestSeconds(kReps, kCalls, a, b, kernelBare, sink);
-    double disabled = bestSeconds(kReps, kCalls, a, b, kernelInstrumented,
-                                  sink);
+    auto off = timeRounds(kReps, {calls(kernelBare),
+                                  calls(kernelInstrumented)});
 
+    // The warm-up of the enabled pass faults in the thread-local shard, so
+    // allocation never lands inside a timed round.
     trace::setEnabled(true);
     metrics::setEnabled(true);
-    sink += kernelInstrumented(a, b, 0);
-    double enabled = bestSeconds(kReps, kCalls, a, b, kernelInstrumented,
-                                 sink);
+    auto on = timeRounds(kReps, {calls(kernelInstrumented)});
     trace::setEnabled(false);
     metrics::setEnabled(false);
     u64 spans = trace::snapshot().size();
     trace::clear();
 
+    double bare = best(off[0]), disabled = best(off[1]), enabled = best(on[0]);
     double disabled_ratio = disabled / bare;
     double enabled_ratio = enabled / bare;
-    printRow({"Variant", "Best time", "vs bare"}, {22, 14, 10});
-    printRow({"bare kernel", timeCell(bare), "1.00x"}, {22, 14, 10});
+    const std::vector<int> widths = {22, 14, 10, 14};
+    printRow({"Variant", "Best time", "vs bare", "IQR vs bare"}, widths);
+    printRow({"bare kernel", timeCell(bare), "1.00x", ""}, widths);
     printRow({"instrumented, off", timeCell(disabled),
-              speedupCell(disabled_ratio)},
-             {22, 14, 10});
+              speedupCell(disabled_ratio), ratioIqrCell(off[1], off[0])},
+             widths);
     printRow({"instrumented, on", timeCell(enabled),
-              speedupCell(enabled_ratio)},
-             {22, 14, 10});
+              speedupCell(enabled_ratio), ""},
+             widths);
     std::printf("(enabled pass recorded %llu spans; checksum %.3g)\n",
                 static_cast<unsigned long long>(spans), sink);
-
-    if (FILE* f = std::fopen("BENCH_trace_overhead.json", "w")) {
-        std::fprintf(f,
-                     "{\n  \"bench\": \"trace_overhead\",\n"
-                     "  \"smoke\": %s,\n"
-                     "  \"bare_sec\": %.9f,\n"
-                     "  \"disabled_sec\": %.9f,\n"
-                     "  \"enabled_sec\": %.9f,\n"
-                     "  \"disabled_overhead\": %.6f,\n"
-                     "  \"enabled_overhead\": %.6f\n}\n",
-                     smoke ? "true" : "false", bare, disabled, enabled,
-                     disabled_ratio - 1.0, enabled_ratio - 1.0);
-        std::fclose(f);
-        std::printf("wrote BENCH_trace_overhead.json\n");
-    }
 
     writeObservabilityOutputs();
     std::printf("[bench completed in %.1fs]\n", total.seconds());

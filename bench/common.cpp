@@ -92,6 +92,18 @@ numCell(double x, int digits)
 }
 
 std::string
+ratioIqrCell(const std::vector<double>& num, const std::vector<double>& den)
+{
+    std::vector<double> ratios;
+    for (std::size_t i = 0; i < num.size() && i < den.size(); ++i)
+        ratios.push_back(num[i] / den[i]);
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%.2f-%.2fx", percentile(ratios, 25.0),
+                  percentile(ratios, 75.0));
+    return buf;
+}
+
+std::string
 timeCell(double seconds)
 {
     char buf[32];

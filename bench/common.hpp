@@ -49,6 +49,10 @@ std::string numCell(double x, int digits = 3);
 /** Format seconds in engineering units ("1.23ms"). */
 std::string timeCell(double seconds);
 
+/** IQR of the per-round ratios num[i] / den[i], as "1.02-1.10x". */
+std::string ratioIqrCell(const std::vector<double>& num,
+                         const std::vector<double>& den);
+
 /** Scaled-down paper configuration used by every bench (documented in
  *  EXPERIMENTS.md): 8-layer 16-channel WACONet, 64-d features. */
 WacoOptions benchOptions();

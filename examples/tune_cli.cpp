@@ -8,7 +8,9 @@
  * The fault-injection flags drive the whole fault-tolerance layer end to
  * end: measurements flow oracle -> FaultyOracle -> RobustMeasurer, corpus
  * labeling checkpoints to --checkpoint and resumes from it, and training
- * runs with gradient clipping + divergence rollback.
+ * runs with gradient clipping + divergence rollback. --timeout sets the
+ * one measurement budget (RetryPolicy::timeoutSeconds), which also stops
+ * a running nest under --backend, and turns on the same hardening.
  *
  * --verify-only runs the static analysis pipeline (schedule verifier,
  * lowering, loop-nest verifier, asymptotic-dominance perf notes) over one
@@ -42,6 +44,7 @@
  *          [--emit-out DIR] (writes DIR/<alg>_kernel.c, the kernel the
  *                            compiled backend builds for the schedule)
  */
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -119,7 +122,7 @@ run(int argc, char** argv)
     Algorithm alg = Algorithm::SpMM;
     std::string matrix_path;
     FaultConfig faults;
-    bool faulty = false;
+    bool faulty = false; // --faults / --noise: a FaultyOracle wraps the oracle
     RetryPolicy retry;
     std::string checkpoint_path;
     std::string trace_path, metrics_path;
@@ -169,8 +172,7 @@ run(int argc, char** argv)
             faults.noiseSigma = num(0.0);
             faulty = true;
         } else if (!std::strcmp(argv[i], "--timeout")) {
-            faults.timeoutSeconds = num(0.0);
-            faulty = true;
+            retry.timeoutSeconds = num(0.0);
         } else if (!std::strcmp(argv[i], "--retries")) {
             retry.maxAttempts = static_cast<u32>(num(1.0));
         } else if (!std::strcmp(argv[i], "--median")) {
@@ -289,22 +291,24 @@ run(int argc, char** argv)
     opt.schedulesPerMatrix = 15;
     opt.train.epochs = 5;
     opt.retry = retry;
-    if (faulty) {
-        // A flaky backend needs the full hardening: retries, denoising,
-        // gradient clipping and divergence rollback.
+    const bool bounded = std::isfinite(retry.timeoutSeconds);
+    if (faulty || bounded) {
+        // A flaky or bounded backend needs the full hardening: retries,
+        // denoising, gradient clipping and divergence rollback.
         if (retry.medianOf == 1)
             opt.retry.medianOf = 3;
         opt.train.clipNorm = 10.0;
         opt.train.divergeFactor = 10.0;
     }
     WacoTuner tuner(alg, MachineConfig::intel24(), opt);
-    std::unique_ptr<FaultyOracle> faulty_backend;
-    if (faulty) {
-        std::printf("fault injection: fail %.0f%%, noise sigma %.2f, "
+    if (faulty || bounded)
+        std::printf("hardened measurement: fail %.0f%%, noise sigma %.2f, "
                     "timeout %.3gs; retries %u, median-of-%u\n",
                     faults.failProb * 100.0, faults.noiseSigma,
-                    faults.timeoutSeconds, opt.retry.maxAttempts,
+                    opt.retry.timeoutSeconds, opt.retry.maxAttempts,
                     opt.retry.medianOf);
+    std::unique_ptr<FaultyOracle> faulty_backend;
+    if (faulty) {
         faulty_backend =
             std::make_unique<FaultyOracle>(tuner.oracle(), faults);
         tuner.setMeasurementBackend(*faulty_backend);
@@ -312,9 +316,9 @@ run(int argc, char** argv)
     std::unique_ptr<WallclockMeasurer> wallclock;
     if (backend_set) {
         if (faulty)
-            std::printf("note: --backend measures real wall time; the "
-                        "fault-injection flags shape the analytical oracle "
-                        "and are ignored\n");
+            std::printf("note: --backend measures real wall time; --faults "
+                        "and --noise shape the analytical oracle and are "
+                        "ignored\n");
         KernelBackend& engine =
             backend_kind == KernelBackendKind::Compiled
                 ? static_cast<KernelBackend&>(compiledBackend())
@@ -399,7 +403,6 @@ run(int argc, char** argv)
                         static_cast<unsigned long long>(st.cacheHits),
                         static_cast<unsigned long long>(st.shed));
         };
-        u64 measured_before = tuner.backend().measurementCount();
         {
             TunerService server(tuner, scfg);
             serve_batch(server);
@@ -426,7 +429,6 @@ run(int argc, char** argv)
                             tuner.backend().measurementCount() -
                             count_before));
         }
-        (void)measured_before;
         if (!metrics_path.empty()) {
             metrics::writeMetricsJson(metrics_path);
             std::printf("wrote metrics to %s\n", metrics_path.c_str());
@@ -440,7 +442,11 @@ run(int argc, char** argv)
 
     auto outcome = tuner.tune(m);
     auto shape = ProblemShape::forMatrix(alg, m.rows(), m.cols());
-    auto fixed = tuner.oracle().measure(m, shape, defaultSchedule(shape));
+    // The CSR reference in the winner's units: host time under --backend.
+    const MeasurementBackend& reference =
+        wallclock ? static_cast<const MeasurementBackend&>(*wallclock)
+                  : tuner.oracle();
+    auto fixed = reference.measure(m, shape, defaultSchedule(shape));
     std::printf("\n--- chosen configuration ---\n%s",
                 outcome.best.describe().c_str());
     std::printf("expected: %.3f ms vs CSR default %.3f ms (%.2fx)\n",
@@ -450,7 +456,7 @@ run(int argc, char** argv)
                 "unmeasured, %llu kept\n",
                 static_cast<unsigned long long>(outcome.asymRejected),
                 static_cast<unsigned long long>(outcome.asymKept));
-    if (faulty) {
+    if (faulty || bounded) {
         const auto& st = outcome.remeasureStats;
         std::printf("remeasure stats: %llu attempts, %llu retries, "
                     "%llu faults, %llu timeouts, %llu discarded%s\n",

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "analysis/loopnest_verifier.hpp"
+#include "exec/loopnest_exec.hpp"
 
 namespace waco {
 
@@ -324,6 +325,11 @@ KernelEmitter::emitWalkLoops(const std::vector<LoopNode>& walk,
             clamped |= plan.guard[i] == GuardKind::Clamp &&
                        plan.clampAt[i] == d;
         emitNode(walk[d], hostTop && d == from, clamped, pu, d);
+        // The in-piece poll of the driver's token (WacoKernelArgs::stop):
+        // in every loop but the host-ranged top and the innermost.
+        if (!(hostTop && d == from) && d + 1 < to)
+            line("if (++waco_polls % " + str(kPollEvery) +
+                 " == 0 && args->stop(args->token)) return;");
     }
 }
 
@@ -565,6 +571,8 @@ KernelEmitter::emit()
            "    const float* c;\n"
            "    const float* f;\n"
            "    float* out;\n"
+           "    int (*stop)(void*);\n"
+           "    void* token;\n"
            "} waco_args_t;\n\n";
 
     os_ << "void\n"
@@ -606,6 +614,8 @@ KernelEmitter::emit()
                 decl << ind << "const uint32_t* const crd" << L
                      << " = args->crd[" << L << "];\n";
         }
+        if (uses("waco_polls"))
+            decl << ind << "uint32_t waco_polls = 0;\n";
         if (!nest_.fused())
             decl << ind << "(void)waco_ws;\n";
         return head + decl.str() + "\n" + body;

@@ -54,7 +54,9 @@ struct KernelEmitOptions
  * for Dense/U, absolute crd positions for Compressed); driveLoopNest
  * (exec/loopnest_exec.hpp) invokes it per chunk exactly as it invokes the
  * interpreter, so chunk boundaries, and therefore float results, are
- * bitwise identical to exec/loopnest_exec.cpp.
+ * bitwise identical to exec/loopnest_exec.cpp. Loops other than the top
+ * and the innermost call args->stop(args->token) every kPollEvery
+ * iterations and return once it says stop (the run's wall-clock budget).
  *
  * Two DietCode-style post-emit passes shape the output. Split-tail
  * predicate removal: when the later-binding half of a split index is a

@@ -72,9 +72,9 @@ compileCommand(const std::string& compiler, const std::string& optFlags,
 
 LoopNestResult
 InterpreterBackend::execute(const LoopNest& nest, const LoopNestArgs& args,
-                            const ParallelConfig& par)
+                            const ParallelConfig& par, double budgetSeconds)
 {
-    return executeLoopNest(nest, args, par);
+    return executeLoopNest(nest, args, par, budgetSeconds);
 }
 
 CompiledBackend::CompiledBackend(CompiledBackendOptions opt)
@@ -273,8 +273,9 @@ CompiledBackend::kernelFor(const LoopNest& nest,
 
 LoopNestResult
 CompiledBackend::execute(const LoopNest& nest, const LoopNestArgs& args,
-                         const ParallelConfig& par)
+                         const ParallelConfig& par, double budgetSeconds)
 {
+    checkLoopNestArgs(nest, args); // before paying for a compile
     auto kernel = kernelFor(nest, inputLayoutsOf(args, nest.alg()));
     if (kernel == nullptr) {
         {
@@ -282,7 +283,7 @@ CompiledBackend::execute(const LoopNest& nest, const LoopNestArgs& args,
             ++stats_.fallbacks;
         }
         WACO_COUNT("codegen.fallbacks", 1);
-        return executeLoopNest(nest, args, par);
+        return executeLoopNest(nest, args, par, budgetSeconds);
     }
 
     {
@@ -296,7 +297,8 @@ CompiledBackend::execute(const LoopNest& nest, const LoopNestArgs& args,
                               float* scratch) {
                              fn(&buf, static_cast<std::int64_t>(begin),
                                 static_cast<std::int64_t>(end), scratch);
-                         });
+                         },
+                         budgetSeconds);
 }
 
 CompiledBackendStats

@@ -52,7 +52,8 @@ class KernelBackend
     /** Execute @p nest; same contract as executeLoopNest. */
     virtual LoopNestResult execute(const LoopNest& nest,
                                    const LoopNestArgs& args,
-                                   const ParallelConfig& par = {1, 128}) = 0;
+                                   const ParallelConfig& par = {1, 128},
+                                   double budgetSeconds = kUnbounded) = 0;
 };
 
 /** The generic interpreter behind the KernelBackend interface. */
@@ -61,7 +62,8 @@ class InterpreterBackend final : public KernelBackend
   public:
     std::string name() const override { return "interp"; }
     LoopNestResult execute(const LoopNest& nest, const LoopNestArgs& args,
-                           const ParallelConfig& par = {1, 128}) override;
+                           const ParallelConfig& par = {1, 128},
+                           double budgetSeconds = kUnbounded) override;
 };
 
 struct CompiledBackendOptions
@@ -100,7 +102,8 @@ class CompiledBackend final : public KernelBackend
 
     std::string name() const override { return "compiled"; }
     LoopNestResult execute(const LoopNest& nest, const LoopNestArgs& args,
-                           const ParallelConfig& par = {1, 128}) override;
+                           const ParallelConfig& par = {1, 128},
+                           double budgetSeconds = kUnbounded) override;
 
     /** Probe (once) and report whether a working compiler exists. */
     bool compilerAvailable();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -18,6 +19,23 @@ std::atomic<u64> g_exec_count{0};
 
 /** Storage levels the buffer block (and so the interpreter) carries. */
 constexpr u32 kMaxLevels = std::extent_v<decltype(WacoKernelArgs::pos)>;
+
+/** A chunk's in-piece poll of WacoKernelArgs::stop, made where and as
+ *  often as the compiled kernels make it (kPollEvery); sticky. */
+struct Poll
+{
+    const WacoKernelArgs* buf;
+    u32 count = 0;
+    bool stop = false;
+
+    bool
+    due()
+    {
+        if (!stop && ++count % kPollEvery == 0)
+            stop = buf->stop(buf->token) != 0;
+        return stop;
+    }
+};
 
 /**
  * Flattened per-invocation interpreter state. Trivially copyable: the
@@ -37,6 +55,8 @@ struct Ctx
     u32 slotCoord[8] = {};
     u32 coord[4] = {}; ///< Combined coordinate per index variable.
     u64 posAfter[kMaxLevels] = {};
+    /** The chunk's poll state, shared by every copy of its Ctx. */
+    Poll* poll = nullptr;
 };
 
 /** Value position of the currently bound storage point. */
@@ -133,8 +153,11 @@ void
 execNode(Ctx& cx, u32 depth, u64 lo, u64 hi, const Leaf& leaf)
 {
     const LoopNode& n = cx.loops[depth];
+    Poll* poll = depth > 0 && depth + 1 < cx.tailDepth ? cx.poll : nullptr;
     if (n.kind == LoopKind::Dense) {
         for (u64 c = lo; c < hi; ++c) {
+            if (poll && poll->due())
+                return;
             bindSlot(cx, n.slot, static_cast<u32>(c));
             descend(cx, depth, leaf);
         }
@@ -145,6 +168,8 @@ execNode(Ctx& cx, u32 depth, u64 lo, u64 hi, const Leaf& leaf)
         u64 parent = n.level == 0 ? 0 : cx.posAfter[n.level - 1];
         u64 base = parent * bl.extent;
         for (u64 c = lo; c < hi; ++c) {
+            if (poll && poll->due())
+                return;
             cx.posAfter[n.level] = base + c;
             bindSlot(cx, n.slot, static_cast<u32>(c));
             if (!n.locates.empty() && !runLocates(cx, n))
@@ -154,6 +179,8 @@ execNode(Ctx& cx, u32 depth, u64 lo, u64 hi, const Leaf& leaf)
     } else {
         const u32* crd = bl.crd.data();
         for (u64 p = lo; p < hi; ++p) {
+            if (poll && poll->due())
+                return;
             cx.posAfter[n.level] = p;
             bindSlot(cx, n.slot, crd[p]);
             if (!n.locates.empty() && !runLocates(cx, n))
@@ -489,8 +516,10 @@ class Interpreter
                float* scratch) const
     {
         const auto& ext = nest_.shape().indexExtent;
+        Poll poll{&buf};
         Ctx cx = proto_;
         cx.levels = args_.a->levels().data();
+        cx.poll = &poll;
         switch (nest_.alg()) {
           case Algorithm::SpMV:
             execNode(cx, 0, begin, end, SpMVLeaf{buf.vals, buf.b, buf.out});
@@ -582,8 +611,36 @@ outputOnSparsePattern(const AlgorithmInfo& info, const DenseOperand& out)
     return out.indices.size() == info.sparseOrder;
 }
 
-/** Each dense input the table names must be bound with its operand's
- *  extents; the error names the algorithm and the operand. */
+std::pair<u64, u64>
+topLoopDomain(const LoopNest& nest, const HierSparseTensor& a)
+{
+    const LoopNode& top = nest.loops().front();
+    if (top.kind == LoopKind::Dense)
+        return {0, top.extent};
+    const BuiltLevel& bl = a.levels()[top.level];
+    if (bl.fmt == LevelFormat::Uncompressed)
+        return {0, bl.extent};
+    return {bl.pos[0], bl.pos[1]}; // top Sparse node is always level 0
+}
+
+SparseMatrix
+assembleSddmmOutput(const HierSparseTensor& a, const std::vector<float>& dvals)
+{
+    // Out-of-bounds padding and explicit stored zeros are dropped,
+    // matching the dense-block semantics of the hierarchy builder.
+    std::vector<Triplet> out;
+    u64 p = 0;
+    a.forEachStored([&](const std::array<u32, 3>& x, float v, bool ok) {
+        if (ok && v != 0.0f)
+            out.push_back({x[0], x[1], dvals[p]});
+        ++p;
+    });
+    return SparseMatrix(a.descriptor().dims()[0], a.descriptor().dims()[1],
+                        std::move(out));
+}
+
+} // namespace
+
 void
 checkLoopNestArgs(const LoopNest& nest, const LoopNestArgs& args)
 {
@@ -619,36 +676,6 @@ checkLoopNestArgs(const LoopNest& nest, const LoopNestArgs& args)
     });
 }
 
-std::pair<u64, u64>
-topLoopDomain(const LoopNest& nest, const HierSparseTensor& a)
-{
-    const LoopNode& top = nest.loops().front();
-    if (top.kind == LoopKind::Dense)
-        return {0, top.extent};
-    const BuiltLevel& bl = a.levels()[top.level];
-    if (bl.fmt == LevelFormat::Uncompressed)
-        return {0, bl.extent};
-    return {bl.pos[0], bl.pos[1]}; // top Sparse node is always level 0
-}
-
-SparseMatrix
-assembleSddmmOutput(const HierSparseTensor& a, const std::vector<float>& dvals)
-{
-    // Out-of-bounds padding and explicit stored zeros are dropped,
-    // matching the dense-block semantics of the hierarchy builder.
-    std::vector<Triplet> out;
-    u64 p = 0;
-    a.forEachStored([&](const std::array<u32, 3>& x, float v, bool ok) {
-        if (ok && v != 0.0f)
-            out.push_back({x[0], x[1], dvals[p]});
-        ++p;
-    });
-    return SparseMatrix(a.descriptor().dims()[0], a.descriptor().dims()[1],
-                        std::move(out));
-}
-
-} // namespace
-
 bool
 topLoopParallelizable(const LoopNest& nest)
 {
@@ -660,7 +687,8 @@ topLoopParallelizable(const LoopNest& nest)
 
 LoopNestResult
 driveLoopNest(const LoopNest& nest, const LoopNestArgs& args,
-              const ParallelConfig& par, const NestRangeFn& range)
+              const ParallelConfig& par, const NestRangeFn& range,
+              double budgetSeconds)
 {
     checkLoopNestArgs(nest, args);
     const HierSparseTensor& a = *args.a;
@@ -700,25 +728,40 @@ driveLoopNest(const LoopNest& nest, const LoopNestArgs& args,
         buf.out = r.mat.data().data();
     }
 
-    const u32 wsExtent = nest.fused() ? nest.workspace().extent : 0;
-    auto run = [&](u64 begin, u64 end) {
-        std::vector<float> scratch(wsExtent, 0.0f);
-        range(buf, begin, end, wsExtent > 0 ? scratch.data() : nullptr);
+    CancelToken token;
+    token.setDeadline(budgetSeconds);
+    buf.stop = [](const CancelToken* t) { return t->stopRequested() ? 1 : 0; };
+    buf.token = &token;
+    // One piece of the top loop, skipped once the token has fired.
+    auto run = [&](u64 begin, u64 end, float* scratch) {
+        if (!token.stopRequested())
+            range(buf, begin, end, scratch);
     };
+    const u32 wsExtent = nest.fused() ? nest.workspace().extent : 0;
     const auto dom = topLoopDomain(nest, a);
     const u32 threads = std::max<u32>(1, par.threads);
+    const u64 chunk = std::max<u32>(1, par.chunk);
     if (dom.second > dom.first) {
         if (threads == 1 || !topLoopParallelizable(nest)) {
-            run(dom.first, dom.second);
+            std::vector<float> scratch(wsExtent, 0.0f);
+            for (u64 b = dom.first;
+                 b < dom.second && !token.stopRequested(); b += chunk)
+                run(b, std::min(dom.second, b + chunk),
+                    wsExtent > 0 ? scratch.data() : nullptr);
         } else {
             globalPool().ensureWorkers(
                 std::min(threads, ThreadPool::kMaxWorkers + 1) - 1);
             globalPool().parallelFor(
-                dom.second - dom.first, std::max<u32>(1, par.chunk),
-                threads,
-                [&](u64 b, u64 e) { run(dom.first + b, dom.first + e); });
+                dom.second - dom.first, chunk, threads, [&](u64 b, u64 e) {
+                    std::vector<float> scratch(wsExtent, 0.0f);
+                    run(dom.first + b, dom.first + e,
+                        wsExtent > 0 ? scratch.data() : nullptr);
+                });
         }
     }
+    if (token.stopRequested())
+        throw CancelledError("driveLoopNest: stopped by its wall-clock "
+                             "budget or a cancel");
 
     if (onPattern)
         r.sparse = assembleSddmmOutput(a, dvals);
@@ -727,7 +770,7 @@ driveLoopNest(const LoopNest& nest, const LoopNestArgs& args,
 
 LoopNestResult
 executeLoopNest(const LoopNest& nest, const LoopNestArgs& args,
-                const ParallelConfig& par)
+                const ParallelConfig& par, double budgetSeconds)
 {
     g_exec_count.fetch_add(1, std::memory_order_relaxed);
 #ifndef NDEBUG
@@ -739,8 +782,17 @@ executeLoopNest(const LoopNest& nest, const LoopNestArgs& args,
                 "executeLoopNest: invalid loop nest:\n" + diags.format());
     }
 #endif
-    const Interpreter interp(nest, args);
-    return driveLoopNest(nest, args, par, std::cref(interp));
+    return driveLoopNest(nest, args, par, interpreterBody(nest, args),
+                         budgetSeconds);
+}
+
+NestRangeFn
+interpreterBody(const LoopNest& nest, const LoopNestArgs& args)
+{
+    // Shared, not copied: the interpreter points into its own members.
+    auto interp = std::make_shared<const Interpreter>(nest, args);
+    return [interp](const WacoKernelArgs& buf, u64 begin, u64 end,
+                    float* scratch) { (*interp)(buf, begin, end, scratch); };
 }
 
 const DenseMatrix*

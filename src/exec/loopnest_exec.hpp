@@ -32,7 +32,9 @@
  * what a legal TACO schedule would be forced to do. An engine supplies
  * only the body that runs one chunk: the interpreter's execNode walk, or
  * the JIT'd kernel's function pointer. Chunk boundaries, and therefore
- * float results, are the same for both by construction.
+ * float results, are the same for both by construction. The serial path
+ * runs the same chunk-sized pieces in order, so a run's wall-clock budget
+ * is polled between pieces on either path (and inside one by the body).
  *
  * Fused workspace nests run the shared scope prefix as the nest; at the
  * fission point each scope iteration zero-initializes a dense workspace,
@@ -48,6 +50,7 @@
 #include "tensor/coo.hpp"
 #include "tensor/dense.hpp"
 #include "tensor/format.hpp"
+#include "util/cancel.hpp"
 
 namespace waco {
 
@@ -144,9 +147,14 @@ struct LoopNestResult
 /**
  * Execute @p nest over the given operands. The tensor must be stored in
  * the format the nest was lowered for (formatOf of the lowered schedule).
+ * A run past @p budgetSeconds throws CancelledError (driveLoopNest).
  */
 LoopNestResult executeLoopNest(const LoopNest& nest, const LoopNestArgs& args,
-                               const ParallelConfig& par = {1, 128});
+                               const ParallelConfig& par = {1, 128},
+                               double budgetSeconds = kUnbounded);
+
+/** Throw a FatalError naming the first missing or mis-shaped input. */
+void checkLoopNestArgs(const LoopNest& nest, const LoopNestArgs& args);
 
 /** Process-wide count of executeLoopNest invocations — lets tests assert
  *  that executions dispatch through the generic executor. */
@@ -168,7 +176,15 @@ struct WacoKernelArgs
     const float* c = nullptr;    ///< Dense operand C.
     const float* f = nullptr;    ///< Dense operand F (fused kernel only).
     float* out = nullptr; ///< Output buffer (per-position values for SDDMM).
+    /** stop(token): the run's token has fired. Both bodies poll it inside
+     *  a piece (kPollEvery); a plain function so C kernels can call it. */
+    int (*stop)(const CancelToken* token) = nullptr;
+    CancelToken* token = nullptr;
 };
+
+/** A body polls the run's token every this many iterations of its loops
+ *  other than the top (the driver's) and the innermost. */
+inline constexpr u32 kPollEvery = 256;
 
 /**
  * One engine's body: execute the nest for the top-loop range
@@ -187,13 +203,26 @@ using NestRangeFn = std::function<void(const WacoKernelArgs& buf, u64 begin,
  * top loop's domain: coordinates for a Dense/U top node, absolute crd
  * positions for a Compressed one. When the top loop is parallelizable
  * and @p par asks for more than one thread, the domain is chunked over
- * the global ThreadPool; otherwise @p range runs once over all of it.
- * Every call of @p range gets its own zeroed workspace. SDDMM's sparse
- * output is assembled on A's pattern at the end.
+ * the global ThreadPool, each chunk with its own zeroed workspace;
+ * otherwise it runs in order, in pieces of `par.chunk` iterations that
+ * share one workspace (a fused body zeroes it per scope iteration).
+ * SDDMM's sparse output is assembled on A's pattern at the end.
+ *
+ * The run is bounded: the driver arms a token with @p budgetSeconds when
+ * it starts (an engine compiles before calling it, so a JIT compile is
+ * never charged), polls it before each piece, and hands it to the body
+ * (WacoKernelArgs::token), which polls it inside a piece. Once it fires,
+ * running pieces return early, no further one starts, and the call
+ * throws CancelledError.
  */
 LoopNestResult driveLoopNest(const LoopNest& nest, const LoopNestArgs& args,
                              const ParallelConfig& par,
-                             const NestRangeFn& range);
+                             const NestRangeFn& range,
+                             double budgetSeconds = kUnbounded);
+
+/** The interpreter's body (what executeLoopNest drives); it refers to
+ *  @p nest and @p args, which must outlive it. */
+NestRangeFn interpreterBody(const LoopNest& nest, const LoopNestArgs& args);
 
 /** True when chunks of the top loop write disjoint output slices (the
  *  top index is not a reduction index; fused nests always qualify), so

@@ -173,7 +173,7 @@ slotCoordOf(const LoopNest& nest, const AlgorithmInfo& info, u32 slot)
 
 Measurement
 RuntimeOracle::measure(const SparseInput& in, const ProblemShape& shape,
-                       const SuperSchedule& s) const
+                       const SuperSchedule& s, double /*budgetSeconds*/) const
 {
     WACO_SPAN("perfmodel.oracle");
     measurements_.fetch_add(1);

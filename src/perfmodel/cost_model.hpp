@@ -39,6 +39,7 @@
 #include "perfmodel/machine.hpp"
 #include "tensor/coo.hpp"
 #include "tensor/format.hpp"
+#include "util/cancel.hpp"
 
 namespace waco {
 
@@ -47,8 +48,8 @@ struct Measurement
 {
     /** Estimated kernel runtime in seconds; +inf when invalid. */
     double seconds = 0.0;
-    /** False when the format exceeded the storage budget (the analogue of
-     *  the paper dropping schedules that run for over a minute). */
+    /** False when the format exceeded the storage budget or the run its
+     *  time budget ("timeout", as the paper drops >1 min schedules). */
     bool valid = true;
     std::string invalidReason;
 
@@ -84,6 +85,8 @@ class MeasurementError : public std::runtime_error
  * for every input order: a matrix (SpMV / SpMM / SDDMM / fused) and a
  * 3-tensor (MTTKRP) both arrive as a SparseInput. Implementations may
  * throw MeasurementError for transient failures.
+ * A backend that runs code stops a run past @p budgetSeconds and reports
+ * it invalid "timeout"; RobustMeasurer applies that rule to every result.
  */
 class MeasurementBackend
 {
@@ -93,7 +96,8 @@ class MeasurementBackend
     /** Measure @p s on @p in; @p shape must come from the same input. */
     virtual Measurement measure(const SparseInput& in,
                                 const ProblemShape& shape,
-                                const SuperSchedule& s) const = 0;
+                                const SuperSchedule& s,
+                                double budgetSeconds = kUnbounded) const = 0;
 
     /** Total measurement count so far (tuning-cost accounting, Fig. 17). */
     virtual u64 measurementCount() const = 0;
@@ -112,7 +116,8 @@ class RuntimeOracle : public MeasurementBackend
     /** Estimate @p s on @p in. A schedule that fails to lower or whose
      *  format exceeds HierSparseTensor::kDefaultMaxBytes is invalid. */
     Measurement measure(const SparseInput& in, const ProblemShape& shape,
-                        const SuperSchedule& s) const override;
+                        const SuperSchedule& s,
+                        double budgetSeconds = kUnbounded) const override;
 
     /**
      * Estimated cost of converting canonical COO into the schedule's format

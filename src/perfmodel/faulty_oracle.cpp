@@ -1,14 +1,15 @@
 #include "perfmodel/faulty_oracle.hpp"
 
 #include <cmath>
+#include <limits>
 
 namespace waco {
 
 Measurement
 FaultyOracle::measure(const SparseInput& in, const ProblemShape& shape,
-                      const SuperSchedule& s) const
+                      const SuperSchedule& s, double budgetSeconds) const
 {
-    Measurement m = inner_.measure(in, shape, s);
+    Measurement m = inner_.measure(in, shape, s, budgetSeconds);
     ++stats_.calls;
 
     // 1. Transient failure: the run crashed or the harness lost it. Drawn
@@ -30,17 +31,6 @@ FaultyOracle::measure(const SparseInput& in, const ProblemShape& shape,
     // 2. Log-normal multiplicative noise on the runtime.
     if (cfg_.noiseSigma > 0.0 && m.valid)
         m.seconds *= std::exp(rng_.normal(0.0, cfg_.noiseSigma));
-
-    // 3. Timeout budget: over-budget runs are killed, not reported. The
-    //    reported time is clamped to the budget — the harness observed
-    //    exactly timeoutSeconds of wall clock before killing the run, so
-    //    aggregate timing stats and latency histograms stay finite.
-    if (m.valid && m.seconds > cfg_.timeoutSeconds) {
-        ++stats_.timeouts;
-        m.seconds = cfg_.timeoutSeconds;
-        m.valid = false;
-        m.invalidReason = "timeout";
-    }
     return m;
 }
 

@@ -19,8 +19,9 @@ RobustMeasurer::RobustMeasurer(const MeasurementBackend& backend,
 
 Measurement
 RobustMeasurer::measure(const SparseInput& in, const ProblemShape& shape,
-                        const SuperSchedule& s) const
+                        const SuperSchedule& s, double budgetSeconds) const
 {
+    const double budget = std::min(budgetSeconds, policy_.timeoutSeconds);
     WACO_SPAN("measure.call");
     ++stats_.calls;
     WACO_COUNT("measure.calls", 1);
@@ -41,22 +42,29 @@ RobustMeasurer::measure(const SparseInput& in, const ProblemShape& shape,
             WACO_COUNT("measure.attempts", 1);
             Measurement m;
             try {
-                m = backend_.measure(in, shape, s);
+                m = backend_.measure(in, shape, s, budget);
             } catch (const MeasurementError& e) {
                 ++stats_.faults;
                 WACO_COUNT("measure.faults", 1);
                 last_failure.invalidReason = e.what();
                 continue;
             }
+            // The timeout rule: over budget is killed, not reported, and
+            // not retried.
+            if (m.valid && m.seconds > budget) {
+                m.valid = false;
+                m.invalidReason = "timeout";
+            }
             if (!m.valid) {
+                last_failure = m;
                 if (m.invalidReason == "timeout") {
                     ++stats_.timeouts;
                     WACO_COUNT("measure.timeouts", 1);
-                } else {
-                    ++stats_.invalid;
-                    WACO_COUNT("measure.invalid", 1);
+                    last_failure.seconds = budget;
+                    break;
                 }
-                last_failure = m;
+                ++stats_.invalid;
+                WACO_COUNT("measure.invalid", 1);
                 continue;
             }
             samples.push_back(std::move(m));

@@ -11,6 +11,11 @@
  * carrying the last failure reason, and the caller decides how to degrade
  * (the dataset builder skips the schedule, the tuner falls back to the CSR
  * default).
+ *
+ * Every labeling and tuning measurement passes through here, so the one
+ * timeout rule lives here too: each attempt hands the budget to the
+ * backend, and a slower result is invalid "timeout" with seconds clamped
+ * to the budget. A timeout is the schedule's verdict: it is not retried.
  */
 #pragma once
 
@@ -26,6 +31,8 @@ struct RetryPolicy
     /** Valid samples collected per call; the median is reported (>= 1).
      *  1 = no remeasurement, matching the raw backend call-for-call. */
     u32 medianOf = 1;
+    /** Budget of one attempt (unbounded: no oracle label moves). */
+    double timeoutSeconds = kUnbounded;
 };
 
 /** Cumulative outcome statistics across all calls of one RobustMeasurer. */
@@ -36,7 +43,7 @@ struct MeasureStats
     u64 retries = 0;   ///< Attempts that were re-issued after a failure.
     u64 faults = 0;    ///< MeasurementError throws absorbed.
     u64 invalid = 0;   ///< Invalid results seen (non-timeout).
-    u64 timeouts = 0;  ///< Invalid results with reason "timeout".
+    u64 timeouts = 0;  ///< Results past RetryPolicy::timeoutSeconds.
     u64 discarded = 0; ///< Calls whose every attempt failed.
 };
 
@@ -48,11 +55,12 @@ class RobustMeasurer : public MeasurementBackend
     explicit RobustMeasurer(const MeasurementBackend& backend,
                             RetryPolicy policy = {});
 
-    const RetryPolicy& policy() const { return policy_; }
     const MeasureStats& stats() const { return stats_; }
 
+    /** The budget is the tighter of @p budgetSeconds and the policy's. */
     Measurement measure(const SparseInput& in, const ProblemShape& shape,
-                        const SuperSchedule& s) const override;
+                        const SuperSchedule& s,
+                        double budgetSeconds = kUnbounded) const override;
     u64 measurementCount() const override { return stats_.calls; }
 
   private:

@@ -1,13 +1,13 @@
 #include "perfmodel/wallclock_backend.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
-#include <vector>
 
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
+#include "util/timer.hpp"
 
 namespace waco {
 
@@ -27,20 +27,37 @@ fillDeterministic(std::size_t input, std::vector<float>& data)
 }
 
 Measurement
-invalid(const std::string& why)
+invalid(const std::string& why, double seconds)
 {
     Measurement r;
     r.valid = false;
-    r.seconds = std::numeric_limits<double>::infinity();
+    r.seconds = seconds;
     r.invalidReason = why;
     return r;
 }
 
 } // namespace
 
+std::vector<std::vector<double>>
+timeRounds(u32 rounds, const std::vector<std::function<void()>>& sides)
+{
+    for (const auto& side : sides)
+        side();
+    std::vector<std::vector<double>> secs(sides.size());
+    for (u32 r = 0; r < rounds; ++r) {
+        for (std::size_t i = 0; i < sides.size(); ++i) {
+            const std::size_t k = (r + i) % sides.size();
+            Timer t;
+            sides[k]();
+            secs[k].push_back(t.seconds());
+        }
+    }
+    return secs;
+}
+
 Measurement
 WallclockMeasurer::run(const HierSparseTensor& t, const ProblemShape& shape,
-                       const SuperSchedule& s) const
+                       const SuperSchedule& s, double budgetSeconds) const
 {
     LoopNest nest = lower(s, shape);
 
@@ -52,22 +69,14 @@ WallclockMeasurer::run(const HierSparseTensor& t, const ProblemShape& shape,
         std::min(std::max(1u, s.numThreads), hardwareThreads()),
         std::max(1u, s.ompChunk)};
 
-    // Warm-up run: pays JIT compilation / cache population and faults the
-    // operands in, so the timed rounds measure steady-state execution.
-    exec_.execute(nest, in.args, par);
-
-    std::vector<double> rounds;
-    rounds.reserve(kTimedRounds);
-    for (u32 r = 0; r < kTimedRounds; ++r) {
-        auto t0 = std::chrono::steady_clock::now();
-        exec_.execute(nest, in.args, par);
-        auto t1 = std::chrono::steady_clock::now();
-        rounds.push_back(std::chrono::duration<double>(t1 - t0).count());
-    }
-    std::sort(rounds.begin(), rounds.end());
-
     Measurement r;
-    r.seconds = rounds[rounds.size() / 2];
+    try {
+        r.seconds = median(timeRounds(kTimedRounds, {[&] {
+            exec_.execute(nest, in.args, par, budgetSeconds);
+        }})[0]);
+    } catch (const CancelledError&) {
+        return invalid("timeout", budgetSeconds);
+    }
     r.storedValues = t.storedValues();
     r.formatBytes = t.bytes();
     WACO_COUNT("wallclock.measurements", 1);
@@ -76,13 +85,14 @@ WallclockMeasurer::run(const HierSparseTensor& t, const ProblemShape& shape,
 
 Measurement
 WallclockMeasurer::measure(const SparseInput& in, const ProblemShape& shape,
-                           const SuperSchedule& s) const
+                           const SuperSchedule& s, double budgetSeconds) const
 {
     measurements_.fetch_add(1);
     try {
-        return run(HierSparseTensor::build(formatOf(s, shape), in), shape, s);
+        return run(HierSparseTensor::build(formatOf(s, shape), in), shape, s,
+                   budgetSeconds);
     } catch (const FormatTooLarge& e) {
-        return invalid(e.what());
+        return invalid(e.what(), std::numeric_limits<double>::infinity());
     }
 }
 

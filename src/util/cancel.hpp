@@ -23,6 +23,9 @@
 
 namespace waco {
 
+/** The budget that never runs out (setDeadline leaves a token unarmed). */
+inline constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
 /**
  * Thrown by cancellation-aware code when a token fired at a point where no
  * partial result exists yet (e.g. before feature extraction finished).

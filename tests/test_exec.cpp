@@ -5,13 +5,18 @@
  * KernelBackend::execute, must agree with the dense references, and with
  * its own serial run bit for bit under any parallel configuration;
  * reduction-major storage must be detected (and then run serially); a
- * missing or mis-shaped dense input must be rejected by name; and
- * WallclockMeasurer must report a sane median over either engine.
+ * missing or mis-shaped dense input must be rejected by name; the driver
+ * must stop between top-loop pieces once its token fires; and
+ * WallclockMeasurer must report a sane median over either engine, and an
+ * invalid "timeout" for a run past its budget. None of these asserts a
+ * wall time: timing floors live in the `perf` ctest configuration.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <string>
 
 #include "codegen/kernel_backend.hpp"
 #include "exec/reference.hpp"
@@ -325,6 +330,83 @@ TEST(ExecMeasure, CompiledMedianWallClockIsPositive)
     if (!compiledBackend().compilerAvailable())
         GTEST_SKIP() << "no working system C compiler";
     expectSaneWallclock(compiledBackend());
+}
+
+/** Pieces of a 64-row SpMM nest (chunk 1) the driver runs when the body
+ *  cancels the run's token on its third piece. */
+u32
+piecesRunUntilCancel(u32 threads)
+{
+    Rng rng(29);
+    auto m = randomMatrix(64, 48, 400, rng);
+    auto shape = ProblemShape::forMatrix(Algorithm::SpMM, 64, 48);
+    SuperSchedule s = defaultSchedule(shape);
+    LoopNest nest = lower(s, shape);
+    auto t = HierSparseTensor::build(formatOf(s, shape), m);
+    DenseInputs in = makeDenseInputs(
+        nest, inputRowMajorOf(s), t,
+        [](std::size_t, std::vector<float>& v) {
+            std::fill(v.begin(), v.end(), 1.0f);
+        });
+    std::atomic<u32> pieces{0};
+    NestRangeFn body = [&](const WacoKernelArgs& buf, u64, u64, float*) {
+        if (pieces.fetch_add(1) + 1 == 3)
+            buf.token->cancel();
+    };
+    EXPECT_THROW(driveLoopNest(nest, in.args, {threads, 1}, body),
+                 CancelledError);
+    return pieces.load();
+}
+
+TEST(ExecDriver, CancelStopsBeforeTheNextPiece)
+{
+    // Serially the poll before the fourth piece sees the cancel.
+    EXPECT_EQ(piecesRunUntilCancel(1), 3u);
+    // In parallel each of the other three threads may finish the one
+    // piece it had already started.
+    u32 parallel = piecesRunUntilCancel(4);
+    EXPECT_GE(parallel, 3u);
+    EXPECT_LE(parallel, 3u + 3u);
+}
+
+TEST(ExecMeasure, TimeRoundsAlternatesWhichSideRunsFirst)
+{
+    std::string order;
+    auto secs = timeRounds(4, {[&] { order += 'A'; }, [&] { order += 'B'; }});
+    // One untimed warm-up per side, then rounds AB, BA, AB, BA.
+    EXPECT_EQ(order, "AB" "AB" "BA" "AB" "BA");
+    ASSERT_EQ(secs.size(), 2u);
+    EXPECT_EQ(secs[0].size(), 4u);
+    EXPECT_EQ(secs[1].size(), 4u);
+}
+
+/** A budget far below one run of a many-piece nest: the driver stops the
+ *  run and the measurement comes back invalid "timeout" at the budget. */
+void
+expectTinyBudgetTimesOut(KernelBackend& engine)
+{
+    Rng rng(31);
+    auto m = randomMatrix(2048, 2048, 20000, rng);
+    auto shape = ProblemShape::forMatrix(Algorithm::SpMM, 2048, 2048);
+    const double budget = 1e-6;
+    WallclockMeasurer measurer(engine);
+    Measurement r = measurer.measure(m, shape, defaultSchedule(shape),
+                                     budget);
+    EXPECT_FALSE(r.valid);
+    EXPECT_EQ(r.invalidReason, "timeout");
+    EXPECT_EQ(r.seconds, budget);
+}
+
+TEST(ExecMeasure, TinyBudgetTimesOut)
+{
+    expectTinyBudgetTimesOut(interpreterBackend());
+}
+
+TEST(ExecMeasure, CompiledTinyBudgetTimesOut)
+{
+    if (!compiledBackend().compilerAvailable())
+        GTEST_SKIP() << "no working system C compiler";
+    expectTinyBudgetTimesOut(compiledBackend());
 }
 
 } // namespace

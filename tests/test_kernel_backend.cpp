@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "codegen/emit.hpp"
@@ -308,6 +309,92 @@ TEST(CompiledBackend, SecondExecutionHitsCacheWithZeroRecompiles)
         EXPECT_EQ(first.mat.data()[i], again.mat.data()[i]);
     EXPECT_EQ(compiles.total(), 1u);
     EXPECT_GE(hits.total(), 1u);
+}
+
+/** A missing operand is rejected before the kernel is compiled: no
+ *  compile is paid for a call that cannot run. */
+TEST(CompiledBackend, MissingOperandThrowsBeforeCompiling)
+{
+    if (!compiledBackend().compilerAvailable())
+        GTEST_SKIP() << "no system C compiler on this host";
+
+    Rng rng(13);
+    auto m = intMatrix(37, 29, 150, rng);
+    auto t = HierSparseTensor::build(FormatDescriptor::csr(37, 29), m);
+    LoopNestArgs args;
+    args.a = &t; // matB left null
+    auto nest = lowerStorageOrder(Algorithm::SpMM,
+                                  FormatDescriptor::csr(37, 29), 7);
+
+    const u64 compiles = compiledBackend().stats().compiles;
+    try {
+        compiledBackend().execute(nest, args);
+        ADD_FAILURE() << "a missing operand B must throw";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("operand B"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(compiledBackend().stats().compiles, compiles);
+}
+
+/** Calls of WacoKernelArgs::stop that @p body makes over one piece: all
+ *  of a BCSR SpMM's top loop, which has two middle loops to poll in. The
+ *  callback says stop from its @p stopAt-th call on. */
+u32
+stopPollsOfOnePiece(
+    const std::function<NestRangeFn(const LoopNest&, const LoopNestArgs&)>&
+        engineBody,
+    u32 stopAt)
+{
+    Rng rng(14);
+    auto m = intMatrix(256, 192, 6000, rng);
+    auto desc = FormatDescriptor::bcsr(256, 192, 4, 4);
+    auto t = HierSparseTensor::build(desc, m);
+    DenseMatrix b(192, 8);
+    fillInt(b, rng);
+    LoopNestArgs args;
+    args.a = &t;
+    args.matB = &b;
+    auto nest = lowerStorageOrder(Algorithm::SpMM, desc, 8);
+    const NestRangeFn inner = engineBody(nest, args);
+
+    static u32 calls, limit;
+    calls = 0;
+    limit = stopAt;
+    NestRangeFn body = [&](const WacoKernelArgs& buf, u64 lo, u64 hi,
+                           float* ws) {
+        WacoKernelArgs mine = buf;
+        mine.stop = [](const CancelToken*) { return ++calls >= limit ? 1 : 0; };
+        inner(mine, lo, hi, ws);
+    };
+    driveLoopNest(nest, args, {1, 1u << 20}, body);
+    return calls;
+}
+
+/** Both engines poll the run's token inside one top-loop piece, and
+ *  return at the first poll that says stop. */
+TEST(EnginePolls, InterpreterStopsInsideAPiece)
+{
+    EXPECT_GT(stopPollsOfOnePiece(interpreterBody, ~0u), 1u);
+    EXPECT_EQ(stopPollsOfOnePiece(interpreterBody, 1), 1u);
+}
+
+TEST(EnginePolls, CompiledStopsInsideAPiece)
+{
+    if (!compiledBackend().compilerAvailable())
+        GTEST_SKIP() << "no system C compiler on this host";
+    auto kernelBody = [](const LoopNest& nest, const LoopNestArgs& args) {
+        auto kernel = compiledBackend().kernelFor(
+            nest, inputLayoutsOf(args, nest.alg()));
+        EXPECT_NE(kernel, nullptr);
+        return NestRangeFn([kernel](const WacoKernelArgs& buf, u64 lo,
+                                    u64 hi, float* ws) {
+            kernel->fn()(&buf, static_cast<std::int64_t>(lo),
+                         static_cast<std::int64_t>(hi), ws);
+        });
+    };
+    EXPECT_GT(stopPollsOfOnePiece(kernelBody, ~0u), 1u);
+    EXPECT_EQ(stopPollsOfOnePiece(kernelBody, 1), 1u);
 }
 
 /** Backends share the per-process temp dir; two live ones must still

@@ -125,7 +125,7 @@ TEST(FaultyOracle, SeededFaultSequenceIsDeterministic)
     EXPECT_EQ(a.stats().faults(), a.stats().thrown + a.stats().invalid);
 }
 
-TEST(FaultyOracle, TimeoutBudgetKillsSlowSchedules)
+TEST(RobustMeasurer, TimeoutBudgetKillsSlowSchedules)
 {
     RuntimeOracle oracle(MachineConfig::intel24());
     Rng rng(6);
@@ -134,20 +134,20 @@ TEST(FaultyOracle, TimeoutBudgetKillsSlowSchedules)
     auto s = defaultSchedule(shape);
 
     double truth = oracle.measure(m, shape, s).seconds;
-    FaultConfig cfg;
-    cfg.timeoutSeconds = truth / 2.0; // budget below the true runtime
-    FaultyOracle slow(oracle, cfg);
+    RetryPolicy policy;
+    policy.timeoutSeconds = truth / 2.0; // budget below the true runtime
+    RobustMeasurer slow(oracle, policy);
     auto r = slow.measure(m, shape, s);
     EXPECT_FALSE(r.valid);
     EXPECT_EQ(r.invalidReason, "timeout");
     // The reported time is clamped to the budget (the wall clock actually
     // burned before the kill), not +inf: aggregate stats stay finite.
     EXPECT_TRUE(std::isfinite(r.seconds));
-    EXPECT_DOUBLE_EQ(r.seconds, cfg.timeoutSeconds);
+    EXPECT_DOUBLE_EQ(r.seconds, policy.timeoutSeconds);
     EXPECT_EQ(slow.stats().timeouts, 1u);
 
-    cfg.timeoutSeconds = truth * 2.0; // generous budget: passes through
-    FaultyOracle fast(oracle, cfg);
+    policy.timeoutSeconds = truth * 2.0; // generous budget: passes through
+    RobustMeasurer fast(oracle, policy);
     auto ok = fast.measure(m, shape, s);
     EXPECT_TRUE(ok.valid);
     EXPECT_DOUBLE_EQ(ok.seconds, truth);
@@ -365,11 +365,12 @@ class KillSwitch : public MeasurementBackend
 
     Measurement
     measure(const SparseInput& in, const ProblemShape& shape,
-            const SuperSchedule& s) const override
+            const SuperSchedule& s,
+            double budgetSeconds = kUnbounded) const override
     {
         if (++calls_ > budget_)
             throw Killed{};
-        return inner_.measure(in, shape, s);
+        return inner_.measure(in, shape, s, budgetSeconds);
     }
     u64 measurementCount() const override { return calls_; }
 
