@@ -84,8 +84,10 @@ CompiledBackend::CompiledBackend(CompiledBackendOptions opt)
 
 CompiledBackend::~CompiledBackend()
 {
-    // Kernels unlink their own artifacts as they are released; the
-    // per-process directory itself goes away only once it is empty.
+    // Kernels unlink their own artifacts as they are released, so release
+    // this backend's first; the per-process directory itself goes away only
+    // once it is empty (another live backend may still hold kernels there).
+    cache_.clear();
     if (!tempDir_.empty() && opt_.tempDir.empty()) {
         std::error_code ec;
         std::filesystem::remove(tempDir_, ec);
@@ -222,6 +224,10 @@ CompiledBackend::kernelFor(const LoopNest& nest,
     const std::string so = stem + ".so";
     const std::string log = stem + ".log";
     {
+        // Another backend that shares the per-process dir removes it when
+        // it is destroyed with the dir empty; bring it back.
+        std::error_code ec;
+        std::filesystem::create_directories(tempDir_, ec);
         std::ofstream out(src);
         out << source;
     }

@@ -12,8 +12,7 @@ using nn::Mat;
 using nn::MLP;
 using nn::Param;
 using nn::SparseConv;
-using nn::SparseMap;
-using nn::SparseReLU;
+using nn::ReLU;
 
 namespace {
 
@@ -38,7 +37,7 @@ class WacoNet final : public FeatureExtractor
 {
   public:
     WacoNet(u32 dim, const ExtractorConfig& cfg, Rng& rng)
-        : dim_(dim), cfg_(cfg)
+        : cfg_(cfg)
     {
         convs_.reserve(cfg.numLayers);
         convs_.emplace_back(dim, 5, 1, 1, cfg.channels, rng);
@@ -54,23 +53,19 @@ class WacoNet final : public FeatureExtractor
     Mat
     forward(const SparseInput& in) override
     {
-        SparseMap map;
-        map.dim = dim_;
-        map.coords = siteCoords(in);
-        map.feats = Mat(map.numSites(), 1, 1.0f);
+        const auto coords = siteCoords(in);
         // The rulebook chain depends only on the coordinates, so repeated
         // forwards over one pattern (training epochs, tuner queries) reuse
         // the cached gather geometry across every layer.
-        const auto& chain = rulebooks_.chain(map.coords, convs_);
+        const auto& chain = rulebooks_.chain(coords, convs_);
+        Mat feats(static_cast<u32>(coords.size()), 1, 1.0f);
         Mat concat(1, cfg_.numLayers * cfg_.channels);
-        site_counts_.clear();
         for (u32 l = 0; l < cfg_.numLayers; ++l) {
-            map = convs_[l].forward(map, chain[l]);
-            map = relus_[l].forward(map);
-            Mat pooled = pools_[l].forward(map);
+            feats = convs_[l].forward(std::move(feats), chain[l]);
+            feats = relus_[l].forward(std::move(feats));
+            Mat pooled = pools_[l].forward(feats);
             std::copy(pooled.v.begin(), pooled.v.end(),
                       concat.v.begin() + static_cast<long>(l) * cfg_.channels);
-            site_counts_.push_back(map.numSites());
         }
         return head_.forward(concat);
     }
@@ -112,12 +107,10 @@ class WacoNet final : public FeatureExtractor
     std::string name() const override { return "WACONet"; }
 
   private:
-    u32 dim_;
     ExtractorConfig cfg_;
     std::vector<SparseConv> convs_;
-    std::vector<SparseReLU> relus_;
+    std::vector<ReLU> relus_;
     std::vector<GlobalAvgPool> pools_;
-    std::vector<u32> site_counts_;
     nn::RulebookCache rulebooks_;
     MLP head_;
 };
@@ -130,7 +123,7 @@ class MinkowskiNetExtractor final : public FeatureExtractor
 {
   public:
     MinkowskiNetExtractor(u32 dim, const ExtractorConfig& cfg, Rng& rng)
-        : dim_(dim), cfg_(cfg)
+        : cfg_(cfg)
     {
         u32 layers = std::max<u32>(2, cfg.numLayers / 2);
         convs_.emplace_back(dim, 5, 1, 1, cfg.channels, rng);
@@ -143,16 +136,14 @@ class MinkowskiNetExtractor final : public FeatureExtractor
     Mat
     forward(const SparseInput& in) override
     {
-        SparseMap map;
-        map.dim = dim_;
-        map.coords = siteCoords(in);
-        map.feats = Mat(map.numSites(), 1, 1.0f);
-        const auto& chain = rulebooks_.chain(map.coords, convs_);
+        const auto coords = siteCoords(in);
+        const auto& chain = rulebooks_.chain(coords, convs_);
+        Mat feats(static_cast<u32>(coords.size()), 1, 1.0f);
         for (std::size_t l = 0; l < convs_.size(); ++l) {
-            map = convs_[l].forward(map, chain[l]);
-            map = relus_[l].forward(map);
+            feats = convs_[l].forward(std::move(feats), chain[l]);
+            feats = relus_[l].forward(std::move(feats));
         }
-        Mat pooled = pool_.forward(map);
+        Mat pooled = pool_.forward(feats);
         return head_.forward(pooled);
     }
 
@@ -179,10 +170,9 @@ class MinkowskiNetExtractor final : public FeatureExtractor
     std::string name() const override { return "MinkowskiNet"; }
 
   private:
-    u32 dim_;
     ExtractorConfig cfg_;
     std::vector<SparseConv> convs_;
-    std::vector<SparseReLU> relus_;
+    std::vector<ReLU> relus_;
     nn::RulebookCache rulebooks_;
     GlobalAvgPool pool_;
     MLP head_;
@@ -226,13 +216,12 @@ class DenseConvExtractor final : public FeatureExtractor
             }
             counts[key] += 1.0f;
         }
-        SparseMap map;
-        map.dim = dim_;
         u64 total = 1;
         for (u32 d = 0; d < dim_; ++d)
             total *= g;
-        map.coords.reserve(total);
-        map.feats = Mat(static_cast<u32>(total), 1);
+        std::vector<std::array<i32, 3>> coords;
+        coords.reserve(total);
+        Mat feats(static_cast<u32>(total), 1);
         for (u64 cell = 0; cell < total; ++cell) {
             std::array<i32, 3> coord = {0, 0, 0};
             u64 rest = cell;
@@ -240,19 +229,19 @@ class DenseConvExtractor final : public FeatureExtractor
                 coord[d] = static_cast<i32>(rest % g);
                 rest /= g;
             }
-            map.coords.push_back(coord);
+            coords.push_back(coord);
             auto it = counts.find(cell);
-            map.feats.at(static_cast<u32>(cell), 0) =
+            feats.at(static_cast<u32>(cell), 0) =
                 it == counts.end() ? 0.0f : std::log1p(it->second);
         }
         // The grid coordinate set is identical for every input, so the
         // rulebook chain is built exactly once per extractor.
-        const auto& chain = rulebooks_.chain(map.coords, convs_);
+        const auto& chain = rulebooks_.chain(coords, convs_);
         for (std::size_t l = 0; l < convs_.size(); ++l) {
-            map = convs_[l].forward(map, chain[l]);
-            map = relus_[l].forward(map);
+            feats = convs_[l].forward(std::move(feats), chain[l]);
+            feats = relus_[l].forward(std::move(feats));
         }
-        Mat pooled = pool_.forward(map);
+        Mat pooled = pool_.forward(feats);
         return head_.forward(pooled);
     }
 
@@ -282,7 +271,7 @@ class DenseConvExtractor final : public FeatureExtractor
     u32 dim_;
     ExtractorConfig cfg_;
     std::vector<SparseConv> convs_;
-    std::vector<SparseReLU> relus_;
+    std::vector<ReLU> relus_;
     nn::RulebookCache rulebooks_;
     GlobalAvgPool pool_;
     MLP head_;

@@ -50,13 +50,12 @@ Linear::backward(const Mat& dy)
 }
 
 Mat
-ReLU::forward(const Mat& x)
+ReLU::forward(Mat x)
 {
     x_ = x;
-    Mat y = x;
-    for (auto& v : y.v)
+    for (auto& v : x.v)
         v = v > 0.0f ? v : 0.0f;
-    return y;
+    return x;
 }
 
 Mat
@@ -85,7 +84,7 @@ MLP::forward(const Mat& x)
     for (std::size_t l = 0; l < layers_.size(); ++l) {
         h = layers_[l].forward(h);
         if (l + 1 < layers_.size())
-            h = relus_[l].forward(h);
+            h = relus_[l].forward(std::move(h));
     }
     return h;
 }

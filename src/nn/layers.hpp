@@ -84,7 +84,9 @@ class Linear
 class ReLU
 {
   public:
-    Mat forward(const Mat& x);
+    /** Keeps a copy of @p x for backward and returns max(x, 0) in its
+     *  storage, so pass it by move. */
+    Mat forward(Mat x);
     Mat backward(const Mat& dy);
 
   private:

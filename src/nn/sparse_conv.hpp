@@ -18,19 +18,25 @@
  *
  * The forward pass is split into two phases:
  *
- *  1. buildRulebook(): a sort-merge over the coordinates (the co-iteration
- *     of two sorted coordinate streams, as in MinkowskiEngine's kernel
- *     map). The input sites are sorted once; strided output sites are
- *     the sort-unique coarse cells, numbered in first-occurrence order;
- *     then one linear merge per group of offsets that differ only in the
- *     last dimension yields the per-offset (input site, output site) pair
- *     lists. Input sites must be duplicate-free (and a 2-D site's third
- *     coordinate zero), which SparseMap guarantees by construction. This
- *     depends only on the input coordinates, never on features or
- *     weights, so a RulebookCache reuses it across every forward over the
- *     same pattern — all epochs of training and every tuner query
- *     re-walking the same conv stack.
- *  2. forward(in, rulebook): gather -> GEMM -> scatter per offset. Pair
+ *  1. buildRulebook(): per filter offset, the (input site, output site)
+ *     pairs, built in linear passes over the sites in coordinate order.
+ *     Every input writes its own slots of a dense (offset, output site)
+ *     workspace: for each line of output sites it can reach (all
+ *     coordinates but the last), a forward cursor finds the line's window
+ *     in the sorted output sites. Strided output sites are the coarse
+ *     cells, merged from the 2 (2-D) or 4 (3-D) sorted streams of inputs
+ *     that share the parity of their leading coordinates, and numbered in
+ *     first-occurrence order. Each offset's pairs are then compacted from
+ *     the workspace in ascending output site. Input sites must be
+ *     duplicate-free (and a 2-D site's third coordinate zero), which
+ *     SparseMap guarantees by construction. This depends only on the
+ *     input coordinates, never on features or weights, so a RulebookCache
+ *     reuses it across every forward over the same pattern — all epochs
+ *     of training and every tuner query re-walking the same conv stack.
+ *     A cached chain hands each layer's output sites to the next layer
+ *     already in coordinate order, so only the first layer's input is
+ *     checked for order (and sorted only when it is not).
+ *  2. forward(feats, rulebook): gather -> GEMM -> scatter per offset. Pair
  *     lists are sorted by output site, so the execute step can split them
  *     at output-site boundaries and scatter from per-thread accumulators
  *     without write conflicts.
@@ -47,6 +53,11 @@
 #include "nn/mat.hpp"
 
 namespace waco::nn {
+
+namespace detail {
+/** A site keyed for coordinate order (defined in sparse_conv.cpp). */
+struct SortedSite;
+} // namespace detail
 
 /** Active sites + features of a sparse feature map. */
 struct SparseMap
@@ -108,11 +119,12 @@ class SparseConv
     Rulebook buildRulebook(const std::vector<std::array<i32, 3>>& coords) const;
 
     /**
-     * Forward through a prebuilt rulebook (must have been built from
-     * in.coords by this layer). @p rb must stay alive until the matching
-     * backward() returns; caches the features for backward.
+     * Forward the input features @p in (one row per input site of @p rb)
+     * through a prebuilt rulebook (built by this layer); returns one row
+     * per output site. @p rb must stay alive until the matching backward()
+     * returns. Keeps @p in for backward, so pass it by move.
      */
-    SparseMap forward(const SparseMap& in, const Rulebook& rb);
+    Mat forward(Mat in, const Rulebook& rb);
 
     /** Forward building a fresh rulebook (owned by the layer). */
     SparseMap forward(const SparseMap& in);
@@ -123,6 +135,16 @@ class SparseConv
     void collectParams(std::vector<Param*>& out);
 
   private:
+    friend class RulebookCache;
+
+    /**
+     * The rulebook for input sites @p coords, given @p sites, the same
+     * sites in coordinate order. On return @p sites holds the output
+     * sites in coordinate order, keyed with their output rows.
+     */
+    Rulebook build(const std::vector<std::array<i32, 3>>& coords,
+                   std::vector<detail::SortedSite>& sites) const;
+
     u32 dim_ = 2;
     u32 kernel_ = 3;
     u32 stride_ = 1;
@@ -207,31 +229,14 @@ class RulebookCache
 class GlobalAvgPool
 {
   public:
-    Mat forward(const SparseMap& in);
+    /** @p feats holds one row per site; sums them in site order. */
+    Mat forward(const Mat& feats);
     /** Returns d(in feats) given d(pooled). */
     Mat backward(const Mat& d_out);
 
   private:
     u32 sites_ = 0;
     u32 channels_ = 0;
-};
-
-/** ReLU over a sparse map's features. */
-class SparseReLU
-{
-  public:
-    SparseMap
-    forward(const SparseMap& in)
-    {
-        SparseMap out = in;
-        out.feats = relu_.forward(in.feats);
-        return out;
-    }
-
-    Mat backward(const Mat& dy) { return relu_.backward(dy); }
-
-  private:
-    ReLU relu_;
 };
 
 } // namespace waco::nn

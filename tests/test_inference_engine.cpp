@@ -7,10 +7,11 @@
  *    summation order),
  *  - cached-rulebook sparse-conv forward vs a fresh rulebook driven
  *    through the per-pair saxpy reference,
- *  - the sort-merge rulebook build vs the hash-map reference build, on
- *    single layers and on 6-layer chains, and vs a brute-force build at
- *    the i32 extremes; exact rulebook-cache hits under a fingerprint
- *    collision,
+ *  - the rulebook build (linear passes over sites in coordinate order)
+ *    vs the hash-map reference build, on single layers and on 6-layer
+ *    chains over inputs in and out of coordinate order, and vs a
+ *    brute-force build at the i32 extremes; exact rulebook-cache hits
+ *    under a fingerprint collision,
  *  - batched vs scalar generic HNSW search (identical hit sets),
  *  - the float-lane l2 kernel vs the double-precision reference, with a
  *    recall pin,
@@ -184,10 +185,10 @@ TEST(Rulebook, CachedForwardMatchesLegacyFreshForwardExactly)
 
         // Engine: gather->GEMM->scatter through the prebuilt rulebook and
         // through the layer-owned fresh one.
-        auto fast = conv.forward(in, rb);
-        ASSERT_EQ(fast.coords, rb.outCoords) << "stride " << stride;
-        ASSERT_EQ(fast.feats.v, want.v) << "stride " << stride;
-        ASSERT_EQ(conv.forward(in).feats.v, want.v) << "stride " << stride;
+        ASSERT_EQ(conv.forward(in.feats, rb).v, want.v) << "stride " << stride;
+        auto fresh = conv.forward(in);
+        ASSERT_EQ(fresh.coords, rb.outCoords) << "stride " << stride;
+        ASSERT_EQ(fresh.feats.v, want.v) << "stride " << stride;
     }
 }
 
@@ -455,6 +456,17 @@ TEST(Rulebook, SortMergeChainsMatchHashReference)
     matrices.push_back({"banded", genBanded(600, 600, 9, 0.6, rng)});
     matrices.push_back({"dense blocks", genDenseBlocks(700, 500, 8, 30, 0.8,
                                                        rng)});
+    // One matrix per generator family of the tune_fresh stream, at its
+    // sizes (1k-16k rows, 8k-24k nonzeros).
+    matrices.push_back({"fresh uniform", genUniform(6000, 5000, 18000, rng)});
+    matrices.push_back(
+        {"fresh power law", genPowerLawRows(11000, 11000, 15000, 1.2, rng)});
+    matrices.push_back({"fresh banded", genBanded(9000, 9000, 2, 0.4, rng)});
+    matrices.push_back(
+        {"fresh dense blocks", genDenseBlocks(3000, 3000, 4, 1000, 0.9, rng)});
+    matrices.push_back({"fresh hot columns",
+                        genHotColumns(14000, 16000, 22000, 250, rng)});
+    matrices.push_back({"fresh diagonalish", genDiagonalish(4000, 3, rng)});
     auto tensor = genTensor3(40, 50, 60, 3000, rng);
 
     auto check = [&](u32 dim, const std::vector<std::array<i32, 3>>& coords,
@@ -476,9 +488,23 @@ TEST(Rulebook, SortMergeChainsMatchHashReference)
             cur = &chain[l].outCoords;
         }
     };
-    for (const auto& [name, m] : matrices)
+    for (const auto& [name, m] : matrices) {
+        if (name.rfind("fresh", 0) == 0) {
+            EXPECT_GE(m.nnz(), 8000u) << name;
+            EXPECT_LE(m.nnz(), 24000u) << name;
+        }
         check(2, inputSites(m), name);
+    }
     check(3, inputSites(tensor), "tensor3");
+
+    // Input that is not in coordinate order enters the chain through the
+    // sort; every later layer takes its input sites in order as before.
+    auto shuffled = inputSites(matrices[2].second);
+    rng.shuffle(shuffled);
+    check(2, shuffled, "shuffled uniform");
+    auto shuffled3 = inputSites(tensor);
+    rng.shuffle(shuffled3);
+    check(3, shuffled3, "shuffled tensor3");
 }
 
 TEST(Rulebook, DuplicateSitePanics)

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <functional>
 #include <thread>
 
@@ -423,6 +424,47 @@ TEST(CompiledBackend, LiveInstancesNeverShareAKernel)
     EXPECT_EQ(0.0, maxAbsDiff(executeLoopNest(spmv, vargs).vec, got_v));
     EXPECT_EQ(0.0, maxAbsDiff(executeLoopNest(spmm, margs).mat, got_m));
     EXPECT_EQ(first.stats().fallbacks + second.stats().fallbacks, 0u);
+}
+
+/** A destroyed backend leaves no empty per-process temp dir behind, and a
+ *  backend that shares the dir and outlives that removal still compiles. */
+TEST(CompiledBackend, DestroyedBackendRemovesItsEmptyTempDir)
+{
+    if (!compiledBackend().compilerAvailable())
+        GTEST_SKIP() << "no system C compiler on this host";
+    Rng rng(15);
+    auto m = intMatrix(32, 24, 150, rng);
+    auto desc = FormatDescriptor::csr(32, 24);
+    auto t = HierSparseTensor::build(desc, m);
+    DenseVector v(24);
+    for (u64 i = 0; i < v.size(); ++i)
+        v[i] = static_cast<float>(rng.uniformInt(1, 3));
+    LoopNestArgs args{.a = &t, .vecB = &v};
+    auto spmv = lowerStorageOrder(Algorithm::SpMV, desc);
+
+    CompiledBackend survivor;
+    ASSERT_TRUE(survivor.compilerAvailable());
+    std::filesystem::path dir;
+    {
+        CompiledBackend backend;
+        auto kernel =
+            backend.kernelFor(spmv, inputLayoutsOf(args, Algorithm::SpMV));
+        ASSERT_NE(kernel, nullptr) << backend.lastError();
+        dir = std::filesystem::path(kernel->objectPath()).parent_path();
+        kernel.reset();
+        // Its .c and .so are all the dir holds unless other live backends
+        // of this process keep kernels there too.
+        auto files = std::distance(std::filesystem::directory_iterator(dir),
+                                   std::filesystem::directory_iterator());
+        if (files != 2)
+            GTEST_SKIP() << "other backends keep kernels in " << dir;
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir)) << dir;
+
+    auto got = survivor.execute(spmv, args).vec;
+    EXPECT_EQ(0.0, maxAbsDiff(executeLoopNest(spmv, args).vec, got));
+    EXPECT_EQ(survivor.stats().compiles, 1u) << survivor.lastError();
+    EXPECT_EQ(survivor.stats().fallbacks, 0u);
 }
 
 TEST(CompiledBackend, EmittedSourceContainsAbiEntrypoint)

@@ -256,16 +256,13 @@ TEST(NnSparseConv, GradientCheck)
 
 TEST(NnPool, AverageAndBackward)
 {
-    SparseMap in;
-    in.dim = 2;
-    in.coords = {{0, 0, 0}, {1, 1, 0}};
-    in.feats = Mat(2, 2);
-    in.feats.at(0, 0) = 2.0f;
-    in.feats.at(1, 0) = 4.0f;
-    in.feats.at(0, 1) = -2.0f;
-    in.feats.at(1, 1) = 2.0f;
+    Mat feats(2, 2);
+    feats.at(0, 0) = 2.0f;
+    feats.at(1, 0) = 4.0f;
+    feats.at(0, 1) = -2.0f;
+    feats.at(1, 1) = 2.0f;
     GlobalAvgPool pool;
-    Mat y = pool.forward(in);
+    Mat y = pool.forward(feats);
     EXPECT_FLOAT_EQ(y.at(0, 0), 3.0f);
     EXPECT_FLOAT_EQ(y.at(0, 1), 0.0f);
     Mat dy(1, 2, 1.0f);

@@ -14,7 +14,8 @@
  *  - deterministic end-to-end smoke: tune() with tracing on produces the
  *    expected phase spans AND a bitwise-identical outcome to tracing off;
  *    the rulebook build shows as one nn.rulebook span under model.extract
- *    on a first sighting and not at all on a repeat;
+ *    on a first sighting and not at all on a repeat, and every conv layer
+ *    as one nn.conv span under model.extract on both;
  *  - RulebookCache hit/miss/eviction counters through the registry under a
  *    tight gather-pair budget.
  *
@@ -502,7 +503,8 @@ TEST_F(ObservabilityTest, TunePipelineTracedVsUntracedIsIdentical)
               json);
 
     // A first sighting builds the rulebook chain exactly once, inside the
-    // extractor; a repeat of the same matrix builds none.
+    // extractor; a repeat of the same matrix builds none. Both run every
+    // conv layer once, each in its own span.
     auto fresh = genBanded(320, 320, 6, 0.7, rng);
     for (u64 want : {1u, 0u}) {
         trace::clear();
@@ -518,6 +520,10 @@ TEST_F(ObservabilityTest, TunePipelineTracedVsUntracedIsIdentical)
         if (want == 1) {
             EXPECT_EQ(rulebook[0].parent, fresh_extract[0].id);
         }
+        auto convs = named(fresh_spans, "nn.conv");
+        EXPECT_EQ(convs.size(), opt.extractorConfig.numLayers);
+        for (const auto& conv : convs)
+            EXPECT_EQ(conv.parent, fresh_extract[0].id);
     }
 }
 
